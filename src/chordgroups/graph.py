@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classify import ChordLabel, SeventhFamily, seventh_table
 from .core import Chord
@@ -47,8 +48,10 @@ class ChordGraph:
     def node(self, node_id: str) -> GraphNode:
         return self._by_id[node_id]
 
-    @property
+    @cached_property
     def _by_id(self) -> dict[str, GraphNode]:
+        # Stored in the instance __dict__, outside the frozen fields, so
+        # eq, hash and repr still see only nodes and edges.
         return {node.id: node for node in self.nodes}
 
 

@@ -43,7 +43,7 @@ def invert(chord: Chord) -> Chord:
     if len(chord) < 2:
         return chord
     a1 = chord[1]
-    return (0, *(tone - a1 for tone in chord[2:]), OCTAVE - a1)
+    return (0, *[tone - a1 for tone in chord[2:]], OCTAVE - a1)
 
 
 def dual(chord: Chord) -> Chord:
@@ -52,7 +52,7 @@ def dual(chord: Chord) -> Chord:
     >>> dual((0, 4, 7))
     (0, 5, 8)
     """
-    return (0, *(OCTAVE - tone for tone in reversed(chord[1:])))
+    return (0, *[OCTAVE - tone for tone in reversed(chord[1:])])
 
 
 def augdim(chord: Chord) -> Chord:

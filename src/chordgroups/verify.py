@@ -5,6 +5,13 @@ compares against frozen reference data, yielding one PASS/FAIL line.  The
 reference tables here are intentionally written out by hand: the library
 computes its tables from the family roots, so agreement is evidence, not
 circularity.
+
+``relations(k)`` for k = 2..6 sweeps every k-tone chord c and checks, in
+this order: the inversion order law i^k(c) = c; the duality involution
+d(d(c)) = c; for k = 4 only, the augdim involution a(a(c)) = c; and the
+dihedral identity d(i^n(c)) = i^((k-n) mod k)(d(c)) for n = 0..k.  Each
+chord's inversion powers and the inversion powers of its dual are
+computed once and shared by those laws.
 """
 
 from __future__ import annotations
@@ -94,24 +101,22 @@ def _check_partition_fibers() -> CheckResult:
 def _relations_check(k: int) -> Callable[[], CheckResult]:
     def check() -> CheckResult:
         for chord in enumerate_chords(k):
-            power = chord
+            # powers[n] = i^n(chord) for n <= k; reflected[m] = i^m(d(chord)) for m < k
+            powers = [chord]
             for _ in range(k):
-                power = invert(power)
-            if power != chord:
+                powers.append(invert(powers[-1]))
+            if powers[k] != chord:
                 return False, f"inversion order broke at {chord}"
-            if dual(dual(chord)) != chord:
+            reflected = [dual(chord)]
+            if dual(reflected[0]) != chord:
                 return False, f"duality involution broke at {chord}"
             if k == 4 and augdim(augdim(chord)) != chord:
                 return False, f"augdim involution broke at {chord}"
-            for n in range(k + 1):
+            for _ in range(k - 1):
+                reflected.append(invert(reflected[-1]))
+            for n, image in enumerate(powers):
                 # dual after n inversions == (k-n) inversions after dual
-                expected = dual(chord)
-                for _ in range((k - n) % k):
-                    expected = invert(expected)
-                image = chord
-                for _ in range(n):
-                    image = invert(image)
-                if dual(image) != expected:
+                if dual(image) != reflected[(k - n) % k]:
                     return False, f"dihedral identity broke at {chord}, n={n}"
         return True, ""
 
@@ -121,14 +126,16 @@ def _relations_check(k: int) -> Callable[[], CheckResult]:
 def _check_composition_action() -> CheckResult:
     for chord in enumerate_chords(4):
         gaps = chord_to_composition(chord)
-        if chord_to_composition(invert(chord)) != gaps[1:] + gaps[:1]:
+        inverted, reflected, swapped = invert(chord), dual(chord), augdim(chord)
+        if chord_to_composition(inverted) != gaps[1:] + gaps[:1]:
             return False, f"inversion is not rotate-left at {chord}"
-        if chord_to_composition(dual(chord)) != gaps[::-1]:
+        if chord_to_composition(reflected) != gaps[::-1]:
             return False, f"duality is not reverse at {chord}"
-        if chord_to_composition(augdim(chord)) != (gaps[0], gaps[2], gaps[1], gaps[3]):
+        if chord_to_composition(swapped) != (gaps[0], gaps[2], gaps[1], gaps[3]):
             return False, f"augdim is not the middle swap at {chord}"
-        for op in (invert, dual, augdim):
-            if chord_to_partition(op(chord)) != chord_to_partition(chord):
+        partition = chord_to_partition(chord)
+        for op, image in ((invert, inverted), (dual, reflected), (augdim, swapped)):
+            if chord_to_partition(image) != partition:
                 return False, f"{op.__name__} changed the partition of {chord}"
     return True, ""
 
@@ -224,20 +231,20 @@ def _check_dual_pairing() -> CheckResult:
 
 def _check_degree_regularity() -> CheckResult:
     graph = build_chord_graph(include_dd=True)
+    out_i: Counter[str] = Counter()
+    incident = {Operator.DUALITY: Counter(), Operator.AUGDIM: Counter()}
+    for e in graph.edges:
+        if e.op is Operator.INVERSION:
+            out_i[e.source] += 1
+        else:
+            # a set, so a self-loop counts once
+            incident[e.op].update({e.source, e.target})
     for node in graph.nodes:
-        out_i = sum(
-            1 for e in graph.edges if e.op is Operator.INVERSION and e.source == node.id
-        )
-        for op in (Operator.DUALITY, Operator.AUGDIM):
-            incident = sum(
-                1
-                for e in graph.edges
-                if e.op is op and node.id in (e.source, e.target)
-            )
-            if incident != 1:
-                return False, f"{node.id} has {incident} {op.value}-edges"
-        if out_i != 1:
-            return False, f"{node.id} has {out_i} outgoing i-edges"
+        for op, counts in incident.items():
+            if counts[node.id] != 1:
+                return False, f"{node.id} has {counts[node.id]} {op.value}-edges"
+        if out_i[node.id] != 1:
+            return False, f"{node.id} has {out_i[node.id]} outgoing i-edges"
     return True, ""
 
 
@@ -265,8 +272,10 @@ def _check_components() -> CheckResult:
 def _check_isomorphism() -> CheckResult:
     for include_dd in (False, True):
         mapping = component_isomorphism(build_chord_graph(include_dd=include_dd))
-        if len(mapping) != 12 or mapping["MM0"] != "mm0":
-            return False, f"map has {len(mapping)} pairs"
+        if len(mapping) != 12:
+            return False, f"map has {len(mapping)} pairs, include_dd={include_dd}"
+        if mapping.get("MM0") != "mm0":
+            return False, f"map sends MM0 to {mapping.get('MM0')}, include_dd={include_dd}"
     return True, ""
 
 

@@ -155,7 +155,33 @@ class TestGraph:
         assert len(json.loads(path.read_text())["nodes"]) == 24
 
 
+GOLDEN_VERIFY = """\
+core-roundtrip: PASS
+chord-counts: PASS
+partition-fibers: PASS
+relations(k=2): PASS
+relations(k=3): PASS
+relations(k=4): PASS
+relations(k=5): PASS
+relations(k=6): PASS
+composition-action: PASS
+permutation-closure: PASS
+triads: PASS
+sevenths: PASS
+table-1: PASS
+spot-checks: PASS
+dual-pairing: PASS
+degree-regularity: PASS
+a-fixed-points: PASS
+components: 12+12 PASS
+isomorphism: PASS
+"""
+
+
 class TestVerify:
+    def test_golden(self, invoke):
+        assert invoke("verify") == (0, GOLDEN_VERIFY, "")
+
     def test_exits_zero_and_reports_every_group(self, invoke):
         code, out, _ = invoke("verify")
         assert code == 0

@@ -1,0 +1,109 @@
+"""Planted defects: the exhaustive verify checks must fail, naming the chord.
+
+Each mutant operator is wrong only at a target chord X (and, for the
+mutant that keeps d an involution, at d(X)).  For ``relations(k)``, X is
+the lexicographically smallest chord of its orbit under the operators the
+check applies, so no chord swept before X ever evaluates an operator in
+X's orbit: the first failure the check reports is at X itself.  X is the
+last such orbit minimum, so the sweep has to get deep into the chords to
+reach it.  ``composition-action`` applies the operators to the swept chord
+alone, so there X is simply the last tetrad.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from chordgroups import verify
+from chordgroups.core import enumerate_chords
+from chordgroups.graph import ChordGraph, Operator, build_chord_graph
+from chordgroups.transform import augdim, dual, invert, orbit
+
+CHECKS = dict(verify.CHECKS)
+OPERATORS = {"invert": invert, "dual": dual, "augdim": augdim}
+
+
+def _last_orbit_minimum(k: int, admissible=lambda chord: True) -> tuple[int, ...]:
+    generators = [Operator.INVERSION, Operator.DUALITY]
+    if k == 4:
+        generators.append(Operator.AUGDIM)
+    return max(
+        c for c in enumerate_chords(k) if min(orbit(c, generators)) == c and admissible(c)
+    )
+
+
+def _plant(monkeypatch, name: str, overrides: dict) -> None:
+    """Replace verify's operator ``name`` by one that reads ``overrides`` first."""
+    real = OPERATORS[name]
+
+    def mutant(chord):
+        return overrides[chord] if chord in overrides else real(chord)
+
+    monkeypatch.setattr(verify, name, mutant)
+
+
+def _plant_wrong_image(monkeypatch, name: str, target: tuple[int, ...]) -> None:
+    real = OPERATORS[name]
+    wrong = next(c for c in enumerate_chords(len(target)) if c not in (target, real(target)))
+    _plant(monkeypatch, name, {target: wrong})
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("invert", "dual") for k in range(2, 7)] + [("augdim", 4)],
+)
+def test_relations_fail_at_the_planted_chord(monkeypatch, name, k):
+    target = _last_orbit_minimum(k)
+    _plant_wrong_image(monkeypatch, name, target)
+    passed, detail = CHECKS[f"relations(k={k})"]()
+    assert not passed
+    assert f"at {target}" in detail
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_relations_catch_a_dual_that_is_still_an_involution(monkeypatch, k):
+    # d fixes X and d(X) instead of swapping them, so the order and
+    # involution laws still hold and only the dihedral identity can fail.
+    # It does when d moves X and X has more than two inversions; on dyads
+    # i equals d, so no such X exists for k = 2.
+    def admissible(chord):
+        return dual(chord) != chord and len(orbit(chord, [Operator.INVERSION])) > 2
+
+    target = _last_orbit_minimum(k, admissible)
+    _plant(monkeypatch, "dual", {target: target, dual(target): dual(target)})
+    passed, detail = CHECKS[f"relations(k={k})"]()
+    assert not passed
+    assert detail.startswith(f"dihedral identity broke at {target}, n=")
+
+
+@pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
+def test_composition_action_fails_at_the_planted_chord(monkeypatch, name):
+    target = enumerate_chords(4)[-1]
+    _plant_wrong_image(monkeypatch, name, target)
+    passed, detail = CHECKS["composition-action"]()
+    assert not passed
+    assert f"at {target}" in detail
+
+
+@pytest.mark.parametrize(
+    "op, kind",
+    [(Operator.INVERSION, "outgoing i"), (Operator.DUALITY, "d"), (Operator.AUGDIM, "a")],
+)
+def test_degree_regularity_fails_on_a_duplicated_edge(monkeypatch, op, kind):
+    graph = build_chord_graph(include_dd=True)
+    edge = next(e for e in graph.edges if e.op is op and e.source != e.target)
+    doubled = ChordGraph(graph.nodes, (*graph.edges, edge))
+    monkeypatch.setattr(verify, "build_chord_graph", lambda include_dd: doubled)
+    passed, detail = CHECKS["degree-regularity"]()
+    assert not passed
+    assert detail in {f"{edge.source} has 2 {kind}-edges", f"{edge.target} has 2 {kind}-edges"}
+
+
+def test_isomorphism_names_the_wrong_image(monkeypatch):
+    real = verify.component_isomorphism
+
+    def swapped(graph):
+        return {**real(graph), "MM0": "mM0"}
+
+    monkeypatch.setattr(verify, "component_isomorphism", swapped)
+    assert CHECKS["isomorphism"]() == (False, "map sends MM0 to mM0, include_dd=False")
