@@ -159,12 +159,10 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
             return (source, target, op)
         return (*sorted((source, target)), op)
 
-    upper_keys = set()
     lower_keys = set()
     mapped_keys = set()
     for edge in graph.edges:
         if edge.source in mapping:
-            upper_keys.add(edge_key(edge.source, edge.target, edge.op, edge.directed))
             mapped_keys.add(
                 edge_key(mapping[edge.source], mapping[edge.target], edge.op, edge.directed)
             )

@@ -8,10 +8,14 @@ circularity.
 
 ``relations(k)`` for k = 2..6 sweeps every k-tone chord c and checks, in
 this order: the inversion order law i^k(c) = c; the duality involution
-d(d(c)) = c; for k = 4 only, the augdim involution a(a(c)) = c; and the
-dihedral identity d(i^n(c)) = i^((k-n) mod k)(d(c)) for n = 0..k.  Each
-chord's inversion powers and the inversion powers of its dual are
-computed once and shared by those laws.
+d(d(c)) = c; for k = 4 only, the augdim involution a(a(c)) = c; the
+dihedral identity d(i^n(c)) = i^((k-n) mod k)(d(c)) for n = 0..k; and,
+once per inversion orbit, that i rotates the gaps of each member left and
+d reverses the gaps of the smallest (the dihedral identity carries d to
+the rest).  Each chord's inversion powers and the inversion powers of its
+dual are computed once and shared by those laws.  ``permutation-closure``
+checks that the operators reach all 24 orderings of the distinct gaps
+1, 2, 4, 5 of (0, 1, 3, 7), one chord in its orbit per ordering.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable
 
 from .classify import (
     ROOT_CHORDS,
+    ChordLabel,
     SeventhFamily,
     TriadFamily,
     classify,
@@ -41,7 +46,7 @@ from .core import (
     enumerate_partitions,
 )
 from .graph import Operator, build_chord_graph, component_isomorphism, connected_components
-from .transform import augdim, dual, invert
+from .transform import augdim, dual, invert, orbit
 
 CheckResult = tuple[bool, str]
 
@@ -118,6 +123,13 @@ def _relations_check(k: int) -> Callable[[], CheckResult]:
                 # dual after n inversions == (k-n) inversions after dual
                 if dual(image) != reflected[(k - n) % k]:
                     return False, f"dihedral identity broke at {chord}, n={n}"
+            if chord == min(powers):
+                gaps = [chord_to_composition(image) for image in powers]
+                for n in range(k):
+                    if gaps[n + 1] != gaps[n][1:] + gaps[n][:1]:
+                        return False, f"inversion is not rotate-left at {powers[n]}"
+                if chord_to_composition(reflected[0]) != gaps[0][::-1]:
+                    return False, f"duality is not reverse at {chord}"
         return True, ""
 
     return check
@@ -141,17 +153,9 @@ def _check_composition_action() -> CheckResult:
 
 
 def _check_permutation_closure() -> CheckResult:
-    rotate, reverse, swap = (1, 2, 3, 0), (3, 2, 1, 0), (0, 2, 1, 3)
-    closure = {rotate, reverse, swap}
-    while True:
-        extra = {
-            tuple(p[q[i]] for i in range(4)) for p in closure for q in closure
-        } - closure
-        if not extra:
-            break
-        closure |= extra
-    if len(closure) != 24:
-        return False, f"closure has {len(closure)} elements"
+    size = len(orbit((0, 1, 3, 7), Operator))
+    if size != 24:
+        return False, f"closure has {size} elements"
     return True, ""
 
 
@@ -185,6 +189,9 @@ def _check_table() -> CheckResult:
     for family, expected in {**TRIAD_ROWS, **SEVENTH_ROWS}.items():
         if family_row(family) != expected:
             return False, f"{family.value} row is {family_row(family)}"
+        for n, chord in enumerate(expected):
+            if classify(chord) != ChordLabel(family, n):
+                return False, f"{chord} is labelled {classify(chord)}"
     return True, ""
 
 
@@ -208,9 +215,13 @@ def _check_dual_pairing() -> CheckResult:
     expected_pairs = {
         SeventhFamily.MM: (SeventhFamily.MM, 3),
         SeventhFamily.mM: (SeventhFamily.AM, 3),
+        SeventhFamily.AM: (SeventhFamily.mM, 3),
         SeventhFamily.Mm: (SeventhFamily.dm, 3),
+        SeventhFamily.dm: (SeventhFamily.Mm, 3),
         SeventhFamily.mm: (SeventhFamily.mm, 3),
+        SeventhFamily.dd: (SeventhFamily.dd, 0),
         TriadFamily.MAJOR: (TriadFamily.MINOR, 2),
+        TriadFamily.MINOR: (TriadFamily.MAJOR, 2),
         TriadFamily.DIMINISHED: (TriadFamily.DIMINISHED, 2),
         TriadFamily.AUGMENTED: (TriadFamily.AUGMENTED, 0),
     }

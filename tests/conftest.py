@@ -4,25 +4,11 @@ import pytest
 
 from chordgroups.cli import main
 
-# The published classification of harmonic four-tone chords: one row per
-# family, root position first, then successive inversions.  Frozen here as
-# reference data; the library must re-derive it from the family roots.
-SEVENTH_ROWS = {
-    "MM": ((0, 4, 7, 11), (0, 3, 7, 8), (0, 4, 5, 9), (0, 1, 5, 8)),
-    "mM": ((0, 3, 7, 11), (0, 4, 8, 9), (0, 4, 5, 8), (0, 1, 4, 8)),
-    "AM": ((0, 4, 8, 11), (0, 4, 7, 8), (0, 3, 4, 8), (0, 1, 5, 9)),
-    "Mm": ((0, 4, 7, 10), (0, 3, 6, 8), (0, 3, 5, 9), (0, 2, 6, 9)),
-    "dm": ((0, 3, 6, 10), (0, 3, 7, 9), (0, 4, 6, 9), (0, 2, 5, 8)),
-    "mm": ((0, 3, 7, 10), (0, 4, 7, 9), (0, 3, 5, 8), (0, 2, 5, 9)),
-    "dd": ((0, 3, 6, 9),),
-}
 
-TRIAD_ROWS = {
-    "Major": ((0, 4, 7), (0, 3, 8), (0, 5, 9)),
-    "Minor": ((0, 3, 7), (0, 4, 9), (0, 5, 8)),
-    "Diminished": ((0, 3, 6), (0, 3, 9), (0, 6, 9)),
-    "Augmented": ((0, 4, 8),),
-}
+def gaps(chord):
+    """The gap sequence of a chord, computed without the library."""
+    return [b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]]
+
 
 GOLDEN_HARMONIC_TETRADS = """\
 0,1,4,8 mM3

@@ -1,143 +1,26 @@
-"""Acceptance suite: one test per release criterion, all exact checks.
+"""Acceptance suite: every ``verify`` check, then the CLI golden outputs.
 
-Everything here runs on fully enumerated domains (at most a few hundred
-chords), so each criterion is verified exhaustively rather than sampled.
-Run with ``pytest -s tests/test_acceptance.py`` to see one line per
-criterion.
+The laws and the hand-written reference tables live in
+``chordgroups.verify``, one check each.  This suite runs every check as
+its own test id, so ``pytest -v tests/test_acceptance.py`` lists the
+checks by name and a failing one reports its detail.  The checks run on
+fully enumerated domains (at most a few hundred chords per size), so each
+law is verified exhaustively rather than sampled.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+import pytest
 
-from chordgroups.classify import (
-    SeventhFamily,
-    classify,
-    is_harmonic_seventh,
-    seventh_table,
-)
-from chordgroups.core import (
-    chord_to_composition,
-    enumerate_chords,
-    enumerate_partitions,
-)
-from chordgroups.graph import (
-    Operator,
-    build_chord_graph,
-    component_isomorphism,
-    connected_components,
-)
-from chordgroups.transform import augdim, dual, invert
+from chordgroups.verify import CHECKS
 
-from conftest import GOLDEN_HARMONIC_TETRADS, SEVENTH_ROWS
+from conftest import GOLDEN_HARMONIC_TETRADS
 
 
-def _raw_gaps(chord):
-    # independent of the library's conversion helpers
-    return sorted([b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]])
-
-
-def test_criterion_1_harmonic_triad_partitions():
-    heavy = {p for p in enumerate_partitions(3) if min(p) >= 3}
-    assert heavy == {(3, 3, 6), (3, 4, 5), (4, 4, 4)}
-    print("criterion 1 (harmonic triad partitions): PASS")
-
-
-def test_criterion_2_twenty_five_harmonic_tetrads():
-    tetrads = [(0, *rest) for rest in combinations(range(1, 12), 3)]
-    assert len(tetrads) == 165
-    harmonic = [c for c in tetrads if is_harmonic_seventh(c)]
-    assert len(harmonic) == 25
-    partitions = Counter(tuple(_raw_gaps(c)) for c in harmonic)
-    assert partitions == {
-        (1, 3, 4, 4): 12,
-        (2, 3, 3, 4): 12,
-        (3, 3, 3, 3): 1,
-    }
-    print("criterion 2 (25 harmonic tetrads): PASS")
-
-
-def test_criterion_3_seventh_table_reproduction():
-    rows: dict[str, dict[int, tuple]] = {}
-    for chord, label in seventh_table().items():
-        rows.setdefault(label.family.value, {})[label.inversion] = chord
-    computed = {
-        family: tuple(chords[n] for n in range(len(chords)))
-        for family, chords in rows.items()
-    }
-    assert computed == SEVENTH_ROWS
-    print("criterion 3 (seventh-chord table): PASS")
-
-
-def test_criterion_4_operator_relations():
-    for k in range(2, 7):
-        for chord in enumerate_chords(k):
-            power = chord
-            for _ in range(k):
-                power = invert(power)
-            assert power == chord
-            assert dual(dual(chord)) == chord
-            if k == 4:
-                assert augdim(augdim(chord)) == chord
-            for n in range(k + 1):
-                image = chord
-                for _ in range(n):
-                    image = invert(image)
-                expected = dual(chord)
-                for _ in range((k - n) % k):
-                    expected = invert(expected)
-                assert dual(image) == expected
-    print("criterion 4 (operator relations, sizes 2..6): PASS")
-
-
-def test_criterion_5_gap_sequence_actions():
-    for chord in enumerate_chords(4):
-        gaps = chord_to_composition(chord)
-        assert chord_to_composition(invert(chord)) == gaps[1:] + gaps[:1]
-        assert chord_to_composition(dual(chord)) == gaps[::-1]
-        assert chord_to_composition(augdim(chord)) == (gaps[0], gaps[2], gaps[1], gaps[3])
-    rotate, reverse, swap = (1, 2, 3, 0), (3, 2, 1, 0), (0, 2, 1, 3)
-    closure = {rotate, reverse, swap}
-    while True:
-        extra = {tuple(p[q[i]] for i in range(4)) for p in closure for q in closure}
-        if extra <= closure:
-            break
-        closure |= extra
-    assert len(closure) == 24
-    print("criterion 5 (gap actions and 24-element closure): PASS")
-
-
-def test_criterion_6_spot_checks():
-    assert invert((0, 4, 7)) == (0, 3, 8)
-    assert dual((0, 4, 7)) == (0, 5, 8)
-    assert dual((0, 3, 6)) == (0, 6, 9)
-    assert invert((0, 4, 8)) == (0, 4, 8)
-    assert dual((0, 4, 8)) == (0, 4, 8)
-    assert augdim((0, 4, 7, 11)) == (0, 4, 8, 11)
-    assert augdim((0, 3, 6, 10)) == (0, 3, 7, 10)
-    row = SEVENTH_ROWS["MM"]
-    for n in range(4):
-        label = classify(dual(row[n]))
-        assert label is not None
-        assert (label.family, label.inversion) == (SeventhFamily.MM, (3 - n) % 4)
-    print("criterion 6 (operator spot checks and MM dual pairing): PASS")
-
-
-def test_criterion_7_graph_structure():
-    graph = build_chord_graph(include_dd=False)
-    assert [len(c) for c in connected_components(graph)] == [12, 12]
-    with_dd = build_chord_graph(include_dd=True)
-    assert [len(c) for c in connected_components(with_dd)] == [12, 12, 1]
-    a_fixed = {
-        e.source
-        for e in graph.edges
-        if e.op is Operator.AUGDIM and e.source == e.target
-    }
-    assert a_fixed == {"mM0", "AM3", "Mm0", "dm3"}
-    mapping = component_isomorphism(graph)  # raises on any unpreserved edge
-    assert len(mapping) == 12
-    print("criterion 7 (graph components and isomorphism): PASS")
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_check(name, check):
+    passed, detail = check()
+    assert passed, detail
 
 
 def test_criterion_8_cli_golden(invoke):
@@ -152,4 +35,3 @@ def test_criterion_8_cli_golden(invoke):
 
     assert invoke("apply", "i", "not-a-chord")[0] == 2
     assert invoke("enumerate", "--tones", "nope")[0] == 2
-    print("criterion 8 (CLI golden outputs and exit codes): PASS")

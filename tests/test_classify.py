@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,20 +20,14 @@ from chordgroups.classify import (
 )
 from chordgroups.core import WrongArityError, chord_to_partition, enumerate_chords
 from chordgroups.transform import dual
+from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
 
-from conftest import SEVENTH_ROWS, TRIAD_ROWS
-
-
-def _brute_force_gaps(chord):
-    # independent of the library's gap computation
-    return sorted(
-        [b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]]
-    )
+from conftest import gaps
 
 
 def _brute_force_harmonic_triads():
     triads = [(0, *rest) for rest in combinations(range(1, 12), 2)]
-    return [c for c in triads if min(_brute_force_gaps(c)) >= 3]
+    return [c for c in triads if min(gaps(c)) >= 3]
 
 
 class TestTriadPredicate:
@@ -65,8 +60,15 @@ class TestSeventhPredicate:
         assert not is_harmonic_seventh((0, 3, 6, 11))
 
     def test_exactly_25_harmonic_tetrads(self):
-        harmonic = [c for c in enumerate_chords(4) if is_harmonic_seventh(c)]
+        tetrads = [(0, *rest) for rest in combinations(range(1, 12), 3)]
+        assert len(tetrads) == 165
+        harmonic = [c for c in tetrads if is_harmonic_seventh(c)]
         assert len(harmonic) == 25
+        assert Counter(tuple(sorted(gaps(c))) for c in harmonic) == {
+            (1, 3, 4, 4): 12,
+            (2, 3, 3, 4): 12,
+            (3, 3, 3, 3): 1,
+        }
 
     def test_rejects_other_sizes(self):
         with pytest.raises(WrongArityError):
@@ -96,11 +98,11 @@ class TestTriadTable:
 
     def test_rows_match_the_published_triads(self):
         for family in TriadFamily:
-            assert family_row(family) == TRIAD_ROWS[family.value]
+            assert family_row(family) == TRIAD_ROWS[family]
 
     def test_duality_swaps_diminished_root_and_second_inversion(self):
         table = triad_table()
-        dim = TRIAD_ROWS["Diminished"]
+        dim = TRIAD_ROWS[TriadFamily.DIMINISHED]
         assert table[dual(dim[0])] == ChordLabel(TriadFamily.DIMINISHED, 2)
         assert table[dual(dim[1])] == ChordLabel(TriadFamily.DIMINISHED, 1)
         assert table[dual(dim[2])] == ChordLabel(TriadFamily.DIMINISHED, 0)
@@ -130,7 +132,7 @@ class TestSeventhTable:
 
     def test_rows_match_the_published_table(self):
         for family in SeventhFamily:
-            assert family_row(family) == SEVENTH_ROWS[family.value]
+            assert family_row(family) == SEVENTH_ROWS[family]
 
     def test_families_group_by_partition(self):
         table = seventh_table()
@@ -203,7 +205,7 @@ class TestDualPairing:
         assert dual_pairing(family) == (partner, shift)
 
     def test_major_seventh_orbit_is_self_dual_with_shift_three(self):
-        row = SEVENTH_ROWS["MM"]
+        row = SEVENTH_ROWS[SeventhFamily.MM]
         for n, chord in enumerate(row):
             assert dual(chord) == row[(3 - n) % 4]
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from chordgroups import verify
+
 from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS
 
 
@@ -181,6 +183,15 @@ isomorphism: PASS
 class TestVerify:
     def test_golden(self, invoke):
         assert invoke("verify") == (0, GOLDEN_VERIFY, "")
+
+    def test_failed_and_crashed_checks_exit_one(self, invoke, monkeypatch):
+        def crash():
+            raise RuntimeError("planted")
+
+        checks = [("wrong", lambda: (False, "planted detail")), ("crash", crash)]
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        out = "wrong: planted detail FAIL\ncrash: RuntimeError: planted FAIL\n"
+        assert invoke("verify") == (1, out, "")
 
     def test_exits_zero_and_reports_every_group(self, invoke):
         code, out, _ = invoke("verify")

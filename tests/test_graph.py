@@ -14,8 +14,7 @@ from chordgroups.graph import (
     export_json,
 )
 from chordgroups.transform import augdim, dual, invert
-
-from conftest import SEVENTH_ROWS
+from chordgroups.verify import SEVENTH_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +95,10 @@ class TestBuild:
             e.source: e.target for e in _edges(graph, Operator.INVERSION)
         }
         for family, row in SEVENTH_ROWS.items():
-            if family == "dd":
+            if family is SeventhFamily.dd:
                 continue
             for n in range(len(row)):
-                assert successor[f"{family}{n}"] == f"{family}{(n + 1) % len(row)}"
+                assert successor[f"{family.value}{n}"] == f"{family.value}{(n + 1) % len(row)}"
 
 
 class TestComponents:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,35 +22,33 @@ from chordgroups.transform import (
     parse_word,
 )
 
+from conftest import gaps
+
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
 
 # Test-side implementations routed through the gap sequence, kept separate
 # from the tone-level formulas in the library so each checks the other.
-def _gaps(chord):
-    return [b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]]
-
-
-def _from_gaps(gaps):
+def _from_gaps(composition):
     chord, total = [], 0
-    for gap in gaps[:-1]:
+    for gap in composition[:-1]:
         total += gap
         chord.append(total)
     return (0, *chord)
 
 
 def _invert_via_gaps(chord):
-    gaps = _gaps(chord)
-    return _from_gaps(gaps[1:] + gaps[:1])
+    g = gaps(chord)
+    return _from_gaps(g[1:] + g[:1])
 
 
 def _dual_via_gaps(chord):
-    return _from_gaps(_gaps(chord)[::-1])
+    return _from_gaps(gaps(chord)[::-1])
 
 
 def _augdim_via_gaps(chord):
-    gaps = _gaps(chord)
-    return _from_gaps([gaps[0], gaps[2], gaps[1], gaps[3]])
+    g = gaps(chord)
+    return _from_gaps([g[0], g[2], g[1], g[3]])
 
 
 class TestInversion:
@@ -86,6 +86,7 @@ class TestDuality:
             ((0, 3, 6), (0, 6, 9)),
             ((0, 4, 8), (0, 4, 8)),
             ((0,), (0,)),
+            ((0, 5), (0, 7)),
         ],
     )
     def test_known_images(self, chord, image):
@@ -147,16 +148,8 @@ class TestGapActions:
                 assert chord_to_partition(op(chord)) == target
 
     def test_gap_actions_generate_every_ordering(self):
-        rotate, reverse, swap = (1, 2, 3, 0), (3, 2, 1, 0), (0, 2, 1, 3)
-        closure = {rotate, reverse, swap}
-        while True:
-            extra = {
-                tuple(p[q[i]] for i in range(4)) for p in closure for q in closure
-            } - closure
-            if not extra:
-                break
-            closure |= extra
-        assert len(closure) == 24
+        members = orbit((0, 1, 3, 7), [I, D, A])
+        assert sorted(tuple(gaps(c)) for c in members) == sorted(permutations((1, 2, 4, 5)))
 
 
 class TestWords:

@@ -63,7 +63,7 @@ def test_relations_fail_at_the_planted_chord(monkeypatch, name, k):
 @pytest.mark.parametrize("k", range(3, 7))
 def test_relations_catch_a_dual_that_is_still_an_involution(monkeypatch, k):
     # d fixes X and d(X) instead of swapping them, so the order and
-    # involution laws still hold and only the dihedral identity can fail.
+    # involution laws still hold and the dihedral identity fails first.
     # It does when d moves X and X has more than two inversions; on dyads
     # i equals d, so no such X exists for k = 2.
     def admissible(chord):
@@ -74,6 +74,65 @@ def test_relations_catch_a_dual_that_is_still_an_involution(monkeypatch, k):
     passed, detail = CHECKS[f"relations(k={k})"]()
     assert not passed
     assert detail.startswith(f"dihedral identity broke at {target}, n=")
+
+
+def _on_inversion_orbit(chord, image):
+    return {c: image(c) for c in orbit(chord, [Operator.INVERSION])}
+
+
+def _reordered_inversion(chord, order):
+    """An i that visits chord's inversions i^n(chord) in the given order of n."""
+    powers = [chord]
+    for _ in order[1:]:
+        powers.append(invert(powers[-1]))
+    return {powers[a]: powers[b] for a, b in zip(order, order[1:] + order[:1])}
+
+
+# Each mutant is wrong on one inversion orbit yet keeps the order law, both
+# involutions and the dihedral identity there, so only the gap laws that
+# relations(k) checks once per orbit can catch it.
+@pytest.mark.parametrize(
+    "name, overrides, law, target",
+    [
+        ("dual", _on_inversion_orbit((0, 5), lambda c: c), "duality is not reverse", (0, 5)),
+        (
+            "dual",
+            _on_inversion_orbit((0, 1, 2), lambda c: invert(dual(c))),
+            "duality is not reverse",
+            (0, 1, 2),
+        ),
+        (
+            "dual",
+            _on_inversion_orbit((0, 1, 4, 5, 8, 9), lambda c: c),
+            "duality is not reverse",
+            (0, 1, 4, 5, 8, 9),
+        ),
+        (
+            "invert",
+            _on_inversion_orbit((0, 1, 2), lambda c: invert(invert(c))),
+            "inversion is not rotate-left",
+            (0, 1, 2),
+        ),
+        (
+            "invert",
+            _reordered_inversion((0, 1, 2, 3, 4), [0, 1, 3, 4, 2]),
+            "inversion is not rotate-left",
+            (0, 1, 2, 3, 11),
+        ),
+    ],
+    ids=[
+        "dyad-d-fixes",
+        "triad-d-is-i-after-d",
+        "hexad-d-fixes",
+        "triad-i-is-i-squared",
+        "pentad-i-reorders-the-orbit",
+    ],
+)
+def test_relations_catch_an_operator_that_keeps_the_dihedral_laws(
+    monkeypatch, name, overrides, law, target
+):
+    _plant(monkeypatch, name, overrides)
+    assert CHECKS[f"relations(k={len(target)})"]() == (False, f"{law} at {target}")
 
 
 @pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
@@ -107,3 +166,13 @@ def test_isomorphism_names_the_wrong_image(monkeypatch):
 
     monkeypatch.setattr(verify, "component_isomorphism", swapped)
     assert CHECKS["isomorphism"]() == (False, "map sends MM0 to mM0, include_dd=False")
+
+
+def test_table_names_a_mislabelled_row_chord(monkeypatch):
+    real = verify.classify
+
+    def mislabel(chord):
+        return real((0, 4, 7) if chord == (0, 3, 8) else chord)
+
+    monkeypatch.setattr(verify, "classify", mislabel)
+    assert CHECKS["table-1"]() == (False, "(0, 3, 8) is labelled Major0")
