@@ -61,8 +61,8 @@ class WrongArityError(ValueError):
 def make_chord(tones: Iterable[int]) -> Chord:
     """Validate a tone sequence as a chord.
 
-    A valid chord starts at 0, is strictly increasing, and stays within
-    0..11.  Inputs not rooted at 0 are rejected, not transposed; see
+    A valid chord of ``int`` tones (bools excluded) starts at 0, is
+    strictly increasing, and stays within 0..11.  Inputs not rooted at 0 are rejected, not transposed; see
     :func:`normalize_chord` for the lenient variant.
 
     >>> make_chord([0, 4, 7])
@@ -72,6 +72,8 @@ def make_chord(tones: Iterable[int]) -> Chord:
     if not chord:
         raise EmptyChordError("a chord needs at least one tone")
     for tone in chord:
+        if type(tone) is not int:
+            raise InvalidChordError(f"tone {tone!r} is not an int")
         if not 0 <= tone < OCTAVE:
             raise ToneOutOfRangeError(f"tone {tone} is outside 0..11")
     if chord[0] != 0:

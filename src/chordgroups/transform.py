@@ -1,13 +1,13 @@
 """The three chord operators and orbit closure under subsets of them.
 
-* inversion ``i``: rebase the chord on its second tone,
-  ``(0, a1, ..., a(k-1))`` -> ``(0, a2-a1, ..., a(k-1)-a1, 12-a1)``.
-  Has order k on k-tone chords; on the gap sequence it rotates left.
-* major-minor duality ``d``: reflect every tone (t -> 12-t) and rebase at 0,
-  giving ``(0, 12-a(k-1), ..., 12-a1)``.  An involution; reverses the gaps.
-* augmented-diminished duality ``a``: defined on four-tone chords only,
-  ``(0, a1, a2, a3)`` -> ``(0, a1, a1+a3-a2, a3)``.  An involution; swaps
-  the two middle gaps.
+Each operator permutes the gap positions of a chord; ``gap_permutation``
+is the one definition of all three:
+
+* inversion ``i`` rotates the gaps left (the second tone becomes the root).
+  Has order k on k-tone chords.
+* major-minor duality ``d`` reverses the gaps (t -> 12-t, rebased at 0).
+* augmented-diminished duality ``a`` swaps the two middle gaps; defined on
+  four-tone chords only.  ``d`` and ``a`` are involutions.
 
 Operator words such as ``"iid"`` are applied left to right (pipeline
 order), which is the convention used throughout the CLI.
@@ -16,6 +16,7 @@ order), which is the convention used throughout the CLI.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Iterable
 
 from .core import OCTAVE, Chord, WrongArityError
@@ -32,18 +33,43 @@ class Operator(Enum):
 Word = tuple[Operator, ...]
 
 
+@cache
+def gap_permutation(op: Operator, k: int) -> tuple[int, ...]:
+    """``op`` on k-tone chords: gap j of the image is gap ``perm[j]`` of the chord."""
+    if op is Operator.INVERSION:
+        return tuple((j + 1) % k for j in range(k))
+    if op is Operator.DUALITY:
+        return tuple(reversed(range(k)))
+    if op is not Operator.AUGDIM:
+        raise ValueError(f"not an operator: {op!r}")
+    if k != 4:
+        raise WrongArityError(
+            f"augmented-diminished duality needs a four-tone chord, got {k} tones"
+        )
+    return (0, 2, 1, 3)
+
+
+def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
+    """The chord whose gap j is gap ``perm[j]`` of ``chord``."""
+    tones = (*chord, OCTAVE)
+    image, total = [0], 0
+    for p in perm[:-1]:
+        total += tones[p + 1] - tones[p]
+        image.append(total)
+    return tuple(image)
+
+
+def apply_operator(op: Operator, chord: Chord) -> Chord:
+    return _permute(chord, gap_permutation(op, len(chord)))
+
+
 def invert(chord: Chord) -> Chord:
     """Inversion: the second tone becomes the new root.
-
-    A single-tone chord is its own inversion (the formula degenerates).
 
     >>> invert((0, 4, 7))
     (0, 3, 8)
     """
-    if len(chord) < 2:
-        return chord
-    a1 = chord[1]
-    return (0, *[tone - a1 for tone in chord[2:]], OCTAVE - a1)
+    return apply_operator(Operator.INVERSION, chord)
 
 
 def dual(chord: Chord) -> Chord:
@@ -52,37 +78,16 @@ def dual(chord: Chord) -> Chord:
     >>> dual((0, 4, 7))
     (0, 5, 8)
     """
-    return (0, *[OCTAVE - tone for tone in reversed(chord[1:])])
+    return apply_operator(Operator.DUALITY, chord)
 
 
 def augdim(chord: Chord) -> Chord:
-    """Augmented-diminished duality on four-tone chords.
-
-    Replaces the third tone a2 by a1+a3-a2; strict monotonicity is
-    preserved because a1 < a2 < a3.  Raises WrongArityError for any other
-    chord size — the operator is undefined there and deliberately not
-    extended.
+    """Augmented-diminished duality; WrongArityError unless the chord has four tones.
 
     >>> augdim((0, 4, 7, 11))
     (0, 4, 8, 11)
     """
-    if len(chord) != 4:
-        raise WrongArityError(
-            f"augmented-diminished duality needs a four-tone chord, got {len(chord)} tones"
-        )
-    _, a1, a2, a3 = chord
-    return (0, a1, a1 + a3 - a2, a3)
-
-
-_APPLY = {
-    Operator.INVERSION: invert,
-    Operator.DUALITY: dual,
-    Operator.AUGDIM: augdim,
-}
-
-
-def apply_operator(op: Operator, chord: Chord) -> Chord:
-    return _APPLY[op](chord)
+    return apply_operator(Operator.AUGDIM, chord)
 
 
 def parse_word(text: str) -> Word:
@@ -117,26 +122,26 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     return chord
 
 
+@cache
+def _group(generators: frozenset[Operator], k: int) -> frozenset[tuple[int, ...]]:
+    """The gap permutations of k-tone chords that the generators span."""
+    steps = [gap_permutation(op, k) for op in generators]
+    group = frontier = frozenset([tuple(range(k))])
+    while frontier:
+        # each product is a member of the frontier, then a generator
+        frontier = {tuple(perm[j] for j in step) for perm in frontier for step in steps} - group
+        group |= frontier
+    return group
+
+
 def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     """Closure of a chord under the generators, as a sorted list.
 
-    Breadth-first; no inverses are needed since every generator has finite
-    order.  Raises WrongArityError if AUGDIM is among the generators and
-    the chord is not four-tone.
+    Its images under the group of gap permutations the generators span.
+    Raises WrongArityError if AUGDIM is among the generators and the chord
+    is not four-tone.
 
     >>> orbit((0, 4, 7), [Operator.INVERSION])
     [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
     """
-    gens = tuple(dict.fromkeys(generators))
-    seen = {chord}
-    frontier = [chord]
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            for op in gens:
-                image = apply_operator(op, current)
-                if image not in seen:
-                    seen.add(image)
-                    next_frontier.append(image)
-        frontier = next_frontier
-    return sorted(seen)
+    return sorted({_permute(chord, perm) for perm in _group(frozenset(generators), len(chord))})

@@ -6,16 +6,14 @@ reference tables here are intentionally written out by hand: the library
 computes its tables from the family roots, so agreement is evidence, not
 circularity.
 
-``relations(k)`` for k = 2..6 sweeps every k-tone chord c and checks, in
-this order: the inversion order law i^k(c) = c; the duality involution
-d(d(c)) = c; for k = 4 only, the augdim involution a(a(c)) = c; the
-dihedral identity d(i^n(c)) = i^((k-n) mod k)(d(c)) for n = 0..k; and,
-once per inversion orbit, that i rotates the gaps of each member left and
-d reverses the gaps of the smallest (the dihedral identity carries d to
-the rest).  Each chord's inversion powers and the inversion powers of its
-dual are computed once and shared by those laws.  ``permutation-closure``
-checks that the operators reach all 24 orderings of the distinct gaps
-1, 2, 4, 5 of (0, 1, 3, 7), one chord in its orbit per ordering.
+``relations(k)`` for k = 2..6 checks on every k-tone chord that i rotates
+its gaps left, d reverses them and, for k = 4, a swaps the middle two
+(``_gap_law``, shared with ``composition-action``).  It then checks the
+relations on ``gap_permutation``'s k-gap permutations: i^k = 1, d and
+(k = 4) a are involutions, and d∘i^n = i^((k-n) mod k)∘d for n = 0..k.
+``permutation-closure`` checks that the operators reach all 24
+orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one chord in
+its orbit per ordering.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from .classify import (
     triad_table,
 )
 from .core import (
+    Chord,
     chord_to_composition,
     chord_to_partition,
     chords_of_partition,
@@ -46,7 +45,7 @@ from .core import (
     enumerate_partitions,
 )
 from .graph import Operator, build_chord_graph, component_isomorphism, connected_components
-from .transform import augdim, dual, invert, orbit
+from .transform import augdim, dual, gap_permutation, invert, orbit
 
 CheckResult = tuple[bool, str]
 
@@ -103,33 +102,40 @@ def _check_partition_fibers() -> CheckResult:
     return True, ""
 
 
+def _gap_law(chord: Chord) -> str:
+    """The first of i, d and (tetrads) a that does not move chord's gaps as documented, or ""."""
+    g = chord_to_composition(chord)
+    if invert(chord) != composition_to_chord(g[1:] + g[:1]):
+        return f"inversion is not rotate-left at {chord}"
+    if dual(chord) != composition_to_chord(g[::-1]):
+        return f"duality is not reverse at {chord}"
+    if len(chord) == 4 and augdim(chord) != composition_to_chord((g[0], g[2], g[1], g[3])):
+        return f"augdim is not the middle swap at {chord}"
+    return ""
+
+
+def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[j] for j in q)  # gap permutation p, then q
+
+
 def _relations_check(k: int) -> Callable[[], CheckResult]:
     def check() -> CheckResult:
         for chord in enumerate_chords(k):
-            # powers[n] = i^n(chord) for n <= k; reflected[m] = i^m(d(chord)) for m < k
-            powers = [chord]
-            for _ in range(k):
-                powers.append(invert(powers[-1]))
-            if powers[k] != chord:
-                return False, f"inversion order broke at {chord}"
-            reflected = [dual(chord)]
-            if dual(reflected[0]) != chord:
-                return False, f"duality involution broke at {chord}"
-            if k == 4 and augdim(augdim(chord)) != chord:
-                return False, f"augdim involution broke at {chord}"
-            for _ in range(k - 1):
-                reflected.append(invert(reflected[-1]))
-            for n, image in enumerate(powers):
-                # dual after n inversions == (k-n) inversions after dual
-                if dual(image) != reflected[(k - n) % k]:
-                    return False, f"dihedral identity broke at {chord}, n={n}"
-            if chord == min(powers):
-                gaps = [chord_to_composition(image) for image in powers]
-                for n in range(k):
-                    if gaps[n + 1] != gaps[n][1:] + gaps[n][:1]:
-                        return False, f"inversion is not rotate-left at {powers[n]}"
-                if chord_to_composition(reflected[0]) != gaps[0][::-1]:
-                    return False, f"duality is not reverse at {chord}"
+            if failure := _gap_law(chord):
+                return False, failure
+        i, d = (gap_permutation(op, k) for op in (Operator.INVERSION, Operator.DUALITY))
+        powers = [tuple(range(k))]  # powers[n] = i^n; powers[0] is the identity
+        for _ in range(k):
+            powers.append(_then(powers[-1], i))
+        if powers[k] != powers[0]:
+            return False, f"inversion order broke on {k} gaps"
+        for op in (Operator.DUALITY, Operator.AUGDIM) if k == 4 else (Operator.DUALITY,):
+            if _then(gap_permutation(op, k), gap_permutation(op, k)) != powers[0]:
+                return False, f"{op.name.lower()} involution broke on {k} gaps"
+        for n, power in enumerate(powers):
+            # dual after n inversions == (k-n) inversions after dual
+            if _then(power, d) != _then(d, powers[(k - n) % k]):
+                return False, f"dihedral identity broke on {k} gaps, n={n}"
         return True, ""
 
     return check
@@ -137,17 +143,11 @@ def _relations_check(k: int) -> Callable[[], CheckResult]:
 
 def _check_composition_action() -> CheckResult:
     for chord in enumerate_chords(4):
-        gaps = chord_to_composition(chord)
-        inverted, reflected, swapped = invert(chord), dual(chord), augdim(chord)
-        if chord_to_composition(inverted) != gaps[1:] + gaps[:1]:
-            return False, f"inversion is not rotate-left at {chord}"
-        if chord_to_composition(reflected) != gaps[::-1]:
-            return False, f"duality is not reverse at {chord}"
-        if chord_to_composition(swapped) != (gaps[0], gaps[2], gaps[1], gaps[3]):
-            return False, f"augdim is not the middle swap at {chord}"
+        if failure := _gap_law(chord):
+            return False, failure
         partition = chord_to_partition(chord)
-        for op, image in ((invert, inverted), (dual, reflected), (augdim, swapped)):
-            if chord_to_partition(image) != partition:
+        for op in (invert, dual, augdim):
+            if chord_to_partition(op(chord)) != partition:
                 return False, f"{op.__name__} changed the partition of {chord}"
     return True, ""
 

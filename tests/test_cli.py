@@ -193,15 +193,6 @@ class TestVerify:
         out = "wrong: planted detail FAIL\ncrash: RuntimeError: planted FAIL\n"
         assert invoke("verify") == (1, out, "")
 
-    def test_exits_zero_and_reports_every_group(self, invoke):
-        code, out, _ = invoke("verify")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines and all(line.endswith("PASS") for line in lines)
-        assert "table-1: PASS" in lines
-        assert "relations(k=4): PASS" in lines
-        assert "components: 12+12 PASS" in lines
-
 
 class TestUsage:
     def test_no_arguments_is_a_usage_error(self, invoke):

@@ -255,3 +255,52 @@ class TestTextForms:
         assert chord[0] == 0
         assert all(0 <= t <= 11 for t in chord)
         assert list(chord) == sorted(set(chord))
+
+
+def _is_valid_chord(chord) -> bool:
+    return (
+        type(chord) is tuple
+        and all(type(t) is int for t in chord)
+        and chord[:1] == (0,)
+        and list(chord) == sorted(set(chord))
+        and chord[-1] < 12
+    )
+
+
+_ANY_TONE = st.one_of(
+    st.integers(min_value=-3, max_value=14),
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.decimals(),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.none(),
+    st.tuples(st.integers()),
+)
+
+
+class TestValidationBoundary:
+    @pytest.mark.parametrize(
+        "tones", [[0, 4.5, 7], [0, 3.0, 7], [False, 4, 7], [0, True, 7], [0, "4", 7], [0, None]]
+    )
+    def test_non_int_tones_are_invalid(self, tones):
+        with pytest.raises(InvalidChordError):
+            make_chord(tones)
+
+    @given(st.lists(_ANY_TONE, max_size=6))
+    def test_make_chord_on_arbitrary_objects(self, tones):
+        try:
+            chord = make_chord(tones)
+        except InvalidChordError:
+            return
+        assert _is_valid_chord(chord)
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789,()+-_ \u0664\t")))
+    def test_parse_chord_on_arbitrary_text(self, text):
+        try:
+            chord = parse_chord(text)
+        except InvalidChordError:
+            return
+        assert _is_valid_chord(chord)

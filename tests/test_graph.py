@@ -64,18 +64,6 @@ class TestBuild:
         assert len(_edges(graph, Operator.DUALITY)) == (24 - d_fixed) // 2 + d_fixed == 12
         assert len(_edges(graph, Operator.AUGDIM)) == (24 - a_fixed) // 2 + a_fixed == 14
 
-    def test_degree_regularity(self, graph_with_dd):
-        for node in graph_with_dd.nodes:
-            assert (
-                sum(1 for e in _edges(graph_with_dd, Operator.INVERSION) if e.source == node.id)
-                == 1
-            )
-            for op in (Operator.DUALITY, Operator.AUGDIM):
-                incident = [
-                    e for e in _edges(graph_with_dd, op) if node.id in (e.source, e.target)
-                ]
-                assert len(incident) == 1
-
     def test_a_self_loops(self, graph):
         loops = {e.source for e in _edges(graph, Operator.AUGDIM) if e.source == e.target}
         assert loops == {"mM0", "AM3", "Mm0", "dm3"}
@@ -102,10 +90,6 @@ class TestBuild:
 
 
 class TestComponents:
-    def test_two_twelve_node_components(self, graph):
-        sizes = [len(c) for c in connected_components(graph)]
-        assert sizes == [12, 12]
-
     def test_dd_forms_its_own_component(self, graph_with_dd):
         components = connected_components(graph_with_dd)
         assert [len(c) for c in components] == [12, 12, 1]
@@ -139,9 +123,6 @@ class TestIsomorphism:
         assert mapping["MM0"] == "mm0"
         assert mapping["mM2"] == "Mm2"
         assert mapping["AM3"] == "dm3"
-
-    def test_checks_pass_with_dd_present(self, graph_with_dd):
-        assert component_isomorphism(graph_with_dd)["MM0"] == "mm0"
 
     def test_example_edges_map_across_components(self, graph):
         # a sends MM0 to AM0 upstairs and its partner mm0 to dm0 downstairs

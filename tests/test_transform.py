@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -13,9 +13,11 @@ from chordgroups.core import (
 )
 from chordgroups.transform import (
     Operator,
+    apply_operator,
     apply_word,
     augdim,
     dual,
+    gap_permutation,
     invert,
     orbit,
     parse_generators,
@@ -27,28 +29,46 @@ from conftest import gaps
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
 
-# Test-side implementations routed through the gap sequence, kept separate
-# from the tone-level formulas in the library so each checks the other.
-def _from_gaps(composition):
-    chord, total = [], 0
-    for gap in composition[:-1]:
-        total += gap
-        chord.append(total)
-    return (0, *chord)
+def powerset(items):
+    return chain.from_iterable(combinations(items, n) for n in range(len(items) + 1))
 
 
-def _invert_via_gaps(chord):
-    g = gaps(chord)
-    return _from_gaps(g[1:] + g[:1])
+# Test-side oracles: the tone formulas of the README's operator table,
+# kept separate from the library's gap permutations so each checks the other.
+def _invert_by_tones(chord):
+    if len(chord) < 2:
+        return chord
+    a1 = chord[1]
+    return (0, *(tone - a1 for tone in chord[2:]), 12 - a1)
 
 
-def _dual_via_gaps(chord):
-    return _from_gaps(gaps(chord)[::-1])
+def _dual_by_tones(chord):
+    return (0, *(12 - tone for tone in reversed(chord[1:])))
 
 
-def _augdim_via_gaps(chord):
-    g = gaps(chord)
-    return _from_gaps([g[0], g[2], g[1], g[3]])
+def _augdim_by_tones(chord):
+    _, a1, a2, a3 = chord
+    return (0, a1, a1 + a3 - a2, a3)
+
+
+ORACLES = {I: _invert_by_tones, D: _dual_by_tones, A: _augdim_by_tones}
+CHORDS = [chord for k in range(1, 7) for chord in enumerate_chords(k)]
+
+
+def _operators_on(chord):
+    return [I, D, A] if len(chord) == 4 else [I, D]
+
+
+def _closure_by_tones(chord, generators):
+    seen, frontier = {chord}, [chord]
+    while frontier:
+        current = frontier.pop()
+        for op in generators:
+            image = ORACLES[op](current)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return sorted(seen)
 
 
 class TestInversion:
@@ -136,10 +156,19 @@ class TestDihedralIdentity:
 
 class TestGapActions:
     def test_operators_act_on_gaps_by_position(self):
-        for chord in enumerate_chords(4):
-            assert invert(chord) == _invert_via_gaps(chord)
-            assert dual(chord) == _dual_via_gaps(chord)
-            assert augdim(chord) == _augdim_via_gaps(chord)
+        for chord in CHORDS:
+            for op in _operators_on(chord):
+                image = apply_operator(op, chord)
+                assert image == ORACLES[op](chord)
+                assert gaps(image) == [gaps(chord)[p] for p in gap_permutation(op, len(chord))]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_gap_permutations_permute_the_positions(self, k):
+        for op in (I, D, A) if k == 4 else (I, D):
+            assert sorted(gap_permutation(op, k)) == list(range(k))
+        if k != 4:
+            with pytest.raises(WrongArityError, match="four-tone"):
+                gap_permutation(A, k)
 
     def test_operators_preserve_the_partition(self):
         for chord in enumerate_chords(4):
@@ -185,6 +214,14 @@ class TestWords:
         with pytest.raises(ValueError):
             parse_generators("i;d")
 
+    @given(st.sampled_from(CHORDS), st.data())
+    def test_words_match_the_tone_formulas_step_by_step(self, chord, data):
+        word = data.draw(st.lists(st.sampled_from(_operators_on(chord)), max_size=12))
+        expected = chord
+        for op in word:
+            expected = ORACLES[op](expected)
+        assert apply_word(word, chord) == expected
+
     def test_augdim_in_word_needs_tetrad(self):
         with pytest.raises(WrongArityError):
             apply_word("ia", (0, 4, 7))
@@ -208,22 +245,25 @@ class TestOrbits:
         assert len(orbit((0, 4, 7, 11), [I, D])) == 4
 
     def test_major_seventh_component_has_twelve_chords(self):
-        # oracle: independent closure over the gap-sequence implementations
-        seen = {(0, 4, 7, 11)}
-        frontier = [(0, 4, 7, 11)]
-        while frontier:
-            chord = frontier.pop()
-            for op in (_invert_via_gaps, _dual_via_gaps, _augdim_via_gaps):
-                image = op(chord)
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
-        assert orbit((0, 4, 7, 11), [I, D, A]) == sorted(seen)
+        seen = _closure_by_tones((0, 4, 7, 11), [I, D, A])
+        assert orbit((0, 4, 7, 11), [I, D, A]) == seen
         assert len(seen) == 12
+
+    def test_orbits_match_a_tone_formula_closure(self):
+        for chord in CHORDS:
+            for generators in powerset(_operators_on(chord)):
+                assert orbit(chord, generators) == _closure_by_tones(chord, generators)
 
     def test_augdim_generator_requires_tetrad(self):
         with pytest.raises(WrongArityError):
             orbit((0, 4, 7), [I, A])
+
+    @pytest.mark.parametrize("bad", ["i", "id", [I, "d"], [None]])
+    def test_non_operators_raise(self, bad):
+        with pytest.raises(ValueError, match="not an operator"):
+            orbit((0, 4, 7, 11), bad)
+        with pytest.raises(ValueError, match="not an operator"):
+            apply_word(list(bad), (0, 4, 7, 11))
 
     @given(st.sampled_from(enumerate_chords(4)))
     def test_orbit_is_closed_under_its_generators(self, chord):

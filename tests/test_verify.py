@@ -1,13 +1,13 @@
 """Planted defects: the exhaustive verify checks must fail, naming the chord.
 
 Each mutant operator is wrong only at a target chord X (and, for the
-mutant that keeps d an involution, at d(X)).  For ``relations(k)``, X is
-the lexicographically smallest chord of its orbit under the operators the
-check applies, so no chord swept before X ever evaluates an operator in
-X's orbit: the first failure the check reports is at X itself.  X is the
-last such orbit minimum, so the sweep has to get deep into the chords to
-reach it.  ``composition-action`` applies the operators to the swept chord
-alone, so there X is simply the last tetrad.
+mutant that keeps d an involution, at d(X)).  ``relations(k)`` and
+``composition-action`` apply the operators to each swept chord alone, so
+the first failure either reports is at X itself.  For ``relations(k)``, X
+is the last chord that is the lexicographically smallest of its orbit
+under i, d (and a on tetrads), so the sweep has to get deep into the
+chords to reach it; the last chord of the size is planted as well, and
+for ``composition-action`` X is simply the last tetrad.
 """
 
 from __future__ import annotations
@@ -53,27 +53,26 @@ def _plant_wrong_image(monkeypatch, name: str, target: tuple[int, ...]) -> None:
     [(name, k) for name in ("invert", "dual") for k in range(2, 7)] + [("augdim", 4)],
 )
 def test_relations_fail_at_the_planted_chord(monkeypatch, name, k):
-    target = _last_orbit_minimum(k)
-    _plant_wrong_image(monkeypatch, name, target)
-    passed, detail = CHECKS[f"relations(k={k})"]()
-    assert not passed
-    assert f"at {target}" in detail
+    # the last chord too: the gap law must sweep every chord to the end
+    for target in (_last_orbit_minimum(k), enumerate_chords(k)[-1]):
+        _plant_wrong_image(monkeypatch, name, target)
+        passed, detail = CHECKS[f"relations(k={k})"]()
+        assert not passed
+        assert f"at {target}" in detail
 
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_relations_catch_a_dual_that_is_still_an_involution(monkeypatch, k):
-    # d fixes X and d(X) instead of swapping them, so the order and
-    # involution laws still hold and the dihedral identity fails first.
-    # It does when d moves X and X has more than two inversions; on dyads
-    # i equals d, so no such X exists for k = 2.
+    # d fixes X and d(X) instead of swapping them, so it is still an
+    # involution; the gap law fails at X, the first of the two swept.  X is
+    # chosen as for the old chord-level dihedral identity, which needed d to
+    # move X and X to have more than two inversions (none exists for k = 2).
     def admissible(chord):
         return dual(chord) != chord and len(orbit(chord, [Operator.INVERSION])) > 2
 
     target = _last_orbit_minimum(k, admissible)
     _plant(monkeypatch, "dual", {target: target, dual(target): dual(target)})
-    passed, detail = CHECKS[f"relations(k={k})"]()
-    assert not passed
-    assert detail.startswith(f"dihedral identity broke at {target}, n=")
+    assert CHECKS[f"relations(k={k})"]() == (False, f"duality is not reverse at {target}")
 
 
 def _on_inversion_orbit(chord, image):
@@ -133,6 +132,28 @@ def test_relations_catch_an_operator_that_keeps_the_dihedral_laws(
 ):
     _plant(monkeypatch, name, overrides)
     assert CHECKS[f"relations(k={len(target)})"]() == (False, f"{law} at {target}")
+
+
+# A gap-permutation table that breaks one relation while the operators stay
+# right: only the permutation-level laws of relations(k) can catch it.
+@pytest.mark.parametrize(
+    "op, k, perm, detail",
+    [
+        (Operator.INVERSION, 3, (1, 0, 2), "inversion order broke on 3 gaps"),
+        (Operator.DUALITY, 3, (1, 2, 0), "duality involution broke on 3 gaps"),
+        (Operator.AUGDIM, 4, (1, 2, 3, 0), "augdim involution broke on 4 gaps"),
+        (Operator.DUALITY, 4, (0, 1, 2, 3), "dihedral identity broke on 4 gaps, n=1"),
+    ],
+    ids=["i-of-order-two", "d-a-three-cycle", "a-a-four-cycle", "d-the-identity"],
+)
+def test_relations_check_the_gap_permutations(monkeypatch, op, k, perm, detail):
+    real = verify.gap_permutation
+
+    def mutant(o, n):
+        return perm if (o, n) == (op, k) else real(o, n)
+
+    monkeypatch.setattr(verify, "gap_permutation", mutant)
+    assert CHECKS[f"relations(k={k})"]() == (False, detail)
 
 
 @pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
