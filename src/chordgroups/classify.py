@@ -7,9 +7,10 @@ some inversion of exactly one family root, which yields complete label
 tables: 10 labeled triads across 4 families and 25 labeled four-tone
 chords across 7 families.
 
-The tables are computed at import time by repeatedly inverting the family
-roots — they are never written out by hand, so reproducing the known
-tables is a meaningful check rather than a tautology.
+``ROOT_CHORDS`` holds the 11 family roots; everything else is derived.
+``family_row`` is the one inversion walk, and the one label table maps
+each chord of every row to its family and position, so reproducing the
+published tables is a meaningful check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ class SeventhFamily(Enum):
 
 Family = Union[TriadFamily, SeventhFamily]
 
-TRIAD_ROOTS: dict[TriadFamily, Chord] = {
+ROOT_CHORDS: dict[Family, Chord] = {
     TriadFamily.MAJOR: (0, 4, 7),
     TriadFamily.MINOR: (0, 3, 7),
     TriadFamily.DIMINISHED: (0, 3, 6),
     TriadFamily.AUGMENTED: (0, 4, 8),
-}
-
-SEVENTH_ROOTS: dict[SeventhFamily, Chord] = {
     SeventhFamily.MM: (0, 4, 7, 11),
     SeventhFamily.mM: (0, 3, 7, 11),
     SeventhFamily.AM: (0, 4, 8, 11),
@@ -63,8 +61,6 @@ SEVENTH_ROOTS: dict[SeventhFamily, Chord] = {
     SeventhFamily.mm: (0, 3, 7, 10),
     SeventhFamily.dd: (0, 3, 6, 9),
 }
-
-ROOT_CHORDS: dict[Family, Chord] = {**TRIAD_ROOTS, **SEVENTH_ROOTS}
 
 
 @dataclass(frozen=True)
@@ -107,38 +103,27 @@ def family_row(family: Family) -> tuple[Chord, ...]:
     Augmented triads and dd sevenths are inversion-stable, so their row has
     a single entry; every other family fills a full cycle.
     """
-    return tuple(_inversion_orbit(ROOT_CHORDS[family]))
+    row = [ROOT_CHORDS[family]]
+    while (image := invert(row[-1])) != row[0]:
+        row.append(image)
+    return tuple(row)
 
 
-def _inversion_orbit(root: Chord) -> list[Chord]:
-    row = [root]
-    current = invert(root)
-    while current != root:
-        row.append(current)
-        current = invert(current)
-    return row
-
-
-def _build_table(roots: dict) -> dict[Chord, ChordLabel]:
-    table: dict[Chord, ChordLabel] = {}
-    for family, root in roots.items():
-        for n, chord in enumerate(_inversion_orbit(root)):
-            table[chord] = ChordLabel(family, n)
-    return table
-
-
-_TRIAD_TABLE = _build_table(TRIAD_ROOTS)
-_SEVENTH_TABLE = _build_table(SEVENTH_ROOTS)
+_LABELS: dict[Chord, ChordLabel] = {
+    chord: ChordLabel(family, n)
+    for family in ROOT_CHORDS
+    for n, chord in enumerate(family_row(family))
+}
 
 
 def triad_table() -> dict[Chord, ChordLabel]:
     """Chord -> label for all 10 harmonic triads."""
-    return dict(_TRIAD_TABLE)
+    return {chord: label for chord, label in _LABELS.items() if len(chord) == 3}
 
 
 def seventh_table() -> dict[Chord, ChordLabel]:
     """Chord -> label for all 25 harmonic four-tone chords."""
-    return dict(_SEVENTH_TABLE)
+    return {chord: label for chord, label in _LABELS.items() if len(chord) == 4}
 
 
 def classify(chord: Chord) -> ChordLabel | None:
@@ -153,13 +138,11 @@ def classify(chord: Chord) -> ChordLabel | None:
     >>> classify((0, 1, 2, 3)) is None
     True
     """
-    if len(chord) == 3:
-        return _TRIAD_TABLE.get(chord)
-    if len(chord) == 4:
-        return _SEVENTH_TABLE.get(chord)
-    raise WrongArityError(
-        f"classification covers three- and four-tone chords, got {len(chord)} tones"
-    )
+    if len(chord) not in (3, 4):
+        raise WrongArityError(
+            f"classification covers three- and four-tone chords, got {len(chord)} tones"
+        )
+    return _LABELS.get(chord)
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:

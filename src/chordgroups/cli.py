@@ -12,7 +12,6 @@ import sys
 
 from . import graph as _graph
 from .classify import classify as classify_chord
-from .classify import seventh_table, triad_table
 from .core import (
     InvalidSizeError,
     WrongArityError,
@@ -63,9 +62,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.harmonic:
         if k not in (3, 4):
             raise InvalidSizeError("harmonic enumeration covers 3- and 4-tone chords only")
-        table = triad_table() if k == 3 else seventh_table()
         for chord in enumerate_chords(k):
-            label = table.get(chord)
+            label = classify_chord(chord)
             if label is not None:
                 print(f"{format_chord(chord)} {label}")
     else:

@@ -58,6 +58,16 @@ class WrongArityError(ValueError):
     """An operation was given a chord of a size it does not cover."""
 
 
+def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
+    """The validating constructors' one int rule: ``type(value) is int``.
+
+    Bools, floats and other numbers are rejected, never converted.
+    """
+    for value in values:
+        if type(value) is not int:
+            raise error(f"{what} {value!r} is not an int")
+
+
 def make_chord(tones: Iterable[int]) -> Chord:
     """Validate a tone sequence as a chord.
 
@@ -71,9 +81,8 @@ def make_chord(tones: Iterable[int]) -> Chord:
     chord = tuple(tones)
     if not chord:
         raise EmptyChordError("a chord needs at least one tone")
+    _require_ints(chord, InvalidChordError, "tone")
     for tone in chord:
-        if type(tone) is not int:
-            raise InvalidChordError(f"tone {tone!r} is not an int")
         if not 0 <= tone < OCTAVE:
             raise ToneOutOfRangeError(f"tone {tone} is outside 0..11")
     if chord[0] != 0:
@@ -88,8 +97,11 @@ def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
 
     Reduces modulo the octave, drops duplicates, subtracts the minimum and
     sorts, so e.g. ``normalize_chord([7, 11, 2])`` gives ``(0, 5, 9)``.
+    Pitch classes that are not ints raise InvalidChordError.
     """
-    pcs = {p % OCTAVE for p in pitch_classes}
+    values = tuple(pitch_classes)
+    _require_ints(values, InvalidChordError, "pitch class")
+    pcs = {p % OCTAVE for p in values}
     if not pcs:
         raise EmptyChordError("a chord needs at least one tone")
     low = min(pcs)
@@ -97,8 +109,9 @@ def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
 
 
 def make_composition(parts: Iterable[int]) -> Composition:
-    """Validate an ordered gap sequence: positive parts summing to 12."""
+    """Validate an ordered gap sequence: positive int parts summing to 12."""
     comp = tuple(parts)
+    _require_ints(comp, ValueError, "part")
     if not comp or any(p < 1 for p in comp):
         raise ValueError(f"parts must be positive integers: {comp!r}")
     if sum(comp) != OCTAVE:
@@ -195,12 +208,18 @@ def _distinct_orderings(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def parse_chord(text: str) -> Chord:
-    """Parse chord text like ``"0,4,7"`` (parentheses and spaces tolerated)."""
+    """Parse chord text like ``"0,4,7"`` (parentheses and spaces tolerated).
+
+    Tones are ASCII decimal numbers: the extra forms ``int()`` reads, such
+    as ``"+4"``, ``"1_1"`` or non-ASCII digits, are rejected.
+    """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     if not body.strip():
         raise EmptyChordError("empty chord text")
+    if not body.isascii() or "_" in body or "+" in body:
+        raise InvalidChordError(f"cannot parse chord text {text!r}")
     try:
         tones = [int(token) for token in body.split(",")]
     except ValueError:

@@ -1,10 +1,11 @@
 """The transformation graph on the labeled harmonic four-tone chords.
 
-Each node carries one outgoing inversion edge (directed) plus one duality
-edge and one augmented-diminished edge (undirected, since both operators
-are involutions; stored once, self-loops allowed).  Without the fully
-fixed dd chord the graph splits into two 12-node components that are
-isomorphic via the label map MM->mm, mM->Mm, AM->dm.
+Each edge is one operator's action on one node.  Inversion edges are
+directed; duality and augmented-diminished edges are undirected, because
+both operators are involutions, and each is stored once, from the endpoint
+that sorts first (self-loops allowed).  Without the fully fixed dd chord
+the graph splits into two 12-node components that are isomorphic via the
+label map MM->mm, mM->Mm, AM->dm.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ class GraphEdge:
     source: str
     target: str
     op: Operator
-    directed: bool
+
+    @property
+    def directed(self) -> bool:
+        """Only inversion edges have a direction; d and a are involutions."""
+        return self.op is Operator.INVERSION
 
 
 @dataclass(frozen=True)
@@ -88,18 +93,11 @@ def build_chord_graph(include_dd: bool = False) -> ChordGraph:
     by_chord = {node.chord: node for node in nodes}
 
     edges: list[GraphEdge] = []
-    seen: set[tuple[str, str, Operator]] = set()
     for node in nodes:
         for op in Operator:
             image = by_chord[apply_operator(op, node.chord)]
-            if op is Operator.INVERSION:
-                edges.append(GraphEdge(node.id, image.id, op, directed=True))
-                continue
-            first, second = sorted((node, image), key=_endpoint_key)
-            key = (first.id, second.id, op)
-            if key not in seen:
-                seen.add(key)
-                edges.append(GraphEdge(first.id, second.id, op, directed=False))
+            if op is Operator.INVERSION or _endpoint_key(node) <= _endpoint_key(image):
+                edges.append(GraphEdge(node.id, image.id, op))
 
     edges.sort(key=lambda e: (_OP_ORDER[e.op], e.source, e.target))
     return ChordGraph(tuple(nodes), tuple(edges))
@@ -154,8 +152,8 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
             mapping[node.id] = str(ChordLabel(partner_family, node.label.inversion))
     inverse = {lower: upper for upper, lower in mapping.items()}
 
-    def edge_key(source: str, target: str, op: Operator, directed: bool):
-        if directed:
+    def edge_key(source: str, target: str, op: Operator):
+        if op is Operator.INVERSION:
             return (source, target, op)
         return (*sorted((source, target)), op)
 
@@ -164,10 +162,10 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     for edge in graph.edges:
         if edge.source in mapping:
             mapped_keys.add(
-                edge_key(mapping[edge.source], mapping[edge.target], edge.op, edge.directed)
+                edge_key(mapping[edge.source], mapping[edge.target], edge.op)
             )
         elif edge.source in inverse:
-            lower_keys.add(edge_key(edge.source, edge.target, edge.op, edge.directed))
+            lower_keys.add(edge_key(edge.source, edge.target, edge.op))
 
     if mapped_keys != lower_keys:
         raise IsomorphismViolationError(

@@ -44,8 +44,8 @@ from .core import (
     enumerate_chords,
     enumerate_partitions,
 )
-from .graph import Operator, build_chord_graph, component_isomorphism, connected_components
-from .transform import augdim, dual, gap_permutation, invert, orbit
+from .graph import build_chord_graph, component_isomorphism, connected_components
+from .transform import Operator, augdim, dual, gap_permutation, invert, orbit
 
 CheckResult = tuple[bool, str]
 

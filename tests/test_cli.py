@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,11 @@ class TestClassify:
         code, _, _ = invoke("classify", "zz")
         assert code == 2
 
+    def test_digit_separator_is_a_usage_error(self, invoke):
+        # int() alone reads "1_1" as 11: the dyad (0, 11), an arity error
+        code, _, _ = invoke("classify", "0,1_1")
+        assert code == 2
+
 
 class TestPartition:
     def test_sorted_gaps(self, invoke):
@@ -128,6 +134,26 @@ class TestEnumerate:
 
 
 class TestGraph:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("dot",), "96ef744f895f507c38dba4d0bb03785deb5db3e5b213d8d2401d5c5457443ecf"),
+            (
+                ("dot", "--include-dd"),
+                "f8beba61ca658baa949731b755d67635010afba87f3580fa079e283d054c15a6",
+            ),
+            (("json",), "5b7aa6fdebdd4918296fb0b623055ec9f4631d121efe7754a1d1b3987f2d2a09"),
+            (
+                ("json", "--include-dd"),
+                "a0e961e570c785a182e0f2662271558cfc692af680c4850258532452830e2a59",
+            ),
+        ],
+    )
+    def test_export_bytes(self, invoke, argv, digest):
+        code, out, _ = invoke("graph", "--format", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_node_count(self, invoke):
         code, out, _ = invoke("graph", "--format", "json")
         assert code == 0

@@ -87,6 +87,11 @@ class TestNormalize:
         with pytest.raises(EmptyChordError):
             normalize_chord([])
 
+    @pytest.mark.parametrize("bad", [[1.5, 3], [True, 4], ["7"]])
+    def test_rejects_non_int_pitch_classes(self, bad):
+        with pytest.raises(InvalidChordError):
+            normalize_chord(bad)
+
 
 class TestGapMaps:
     def test_major_chord_gaps(self):
@@ -136,10 +141,13 @@ class TestValidators:
     def test_make_partition_sorts(self):
         assert make_partition([4, 3, 5]) == (3, 4, 5)
 
-    @pytest.mark.parametrize("bad", [[], [0, 12], [4, 3], [13]])
+    @pytest.mark.parametrize(
+        "bad", [[], [0, 12], [4, 3], [13], [4.5, 7.5], [True] * 12, ["a"]]
+    )
     def test_bad_parts_rejected(self, bad):
-        with pytest.raises(ValueError):
-            make_composition(bad)
+        for validate in (make_composition, make_partition):
+            with pytest.raises(ValueError):
+                validate(bad)
 
 
 class TestEnumeration:
@@ -231,7 +239,9 @@ class TestTextForms:
     def test_format_parts(self):
         assert format_parts((3, 4, 5)) == "[3,4,5]"
 
-    @pytest.mark.parametrize("text", ["", "  ", "()", "0,4,x", "0;4;7"])
+    @pytest.mark.parametrize(
+        "text", ["", "  ", "()", "0,4,x", "0;4;7", "0,1_1", "0,+4,7", "0,\u0664,7"]
+    )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(InvalidChordError):
             parse_chord(text)

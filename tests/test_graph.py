@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from chordgroups.classify import SeventhFamily, seventh_table
 from chordgroups.graph import (
+    ChordGraph,
+    IsomorphismViolationError,
     Operator,
     build_chord_graph,
     component_isomorphism,
@@ -123,6 +126,15 @@ class TestIsomorphism:
         assert mapping["MM0"] == "mm0"
         assert mapping["mM2"] == "Mm2"
         assert mapping["AM3"] == "dm3"
+
+    def test_missing_edge_is_a_violation(self, graph):
+        edges = tuple(
+            e for e in graph.edges if (e.source, e.target, e.op) != ("dm0", "mm0", Operator.AUGDIM)
+        )
+        assert len(edges) == len(graph.edges) - 1
+        unmatched = "[('dm0', 'mm0', <Operator.AUGDIM: 'a'>)]"
+        with pytest.raises(IsomorphismViolationError, match=re.escape(unmatched)):
+            component_isomorphism(ChordGraph(graph.nodes, edges))
 
     def test_example_edges_map_across_components(self, graph):
         # a sends MM0 to AM0 upstairs and its partner mm0 to dm0 downstairs
