@@ -11,15 +11,19 @@ chords across 7 families.
 ``family_row`` is the one inversion walk, and the one label table maps
 each chord of every row to its family and position, so reproducing the
 published tables is a meaningful check rather than a tautology.
+
+``ChordLabel`` is a ``core.Record``, not a dataclass or a NamedTuple: the
+one-shot CLI commands import this module, importing ``dataclasses`` pulls
+in ``inspect`` and ``ast``, and a label must never compare equal to a
+plain tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .core import Chord, WrongArityError, chord_to_partition
+from .core import Chord, Record, WrongArityError, chord_to_partition
 from .transform import dual, invert
 
 
@@ -63,18 +67,24 @@ ROOT_CHORDS: dict[Family, Chord] = {
 }
 
 
-@dataclass(frozen=True)
-class ChordLabel:
+class ChordLabel(Record):
     """A family plus an inversion index; 0 is root position.
 
-    The text form concatenates the two, e.g. ``"MM0"`` or ``"Major2"``.
+    The text form concatenates the two, e.g. ``"MM0"`` or ``"Major2"``; it
+    is built once, with the label.
     """
+
+    __slots__ = ("family", "inversion", "_text")
+    __match_args__ = ("family", "inversion")
 
     family: Family
     inversion: int
 
+    def __init__(self, family: Family, inversion: int) -> None:
+        self._init(family, inversion, f"{family.value}{inversion}")
+
     def __str__(self) -> str:
-        return f"{self.family.value}{self.inversion}"
+        return self._text
 
 
 def is_harmonic_triad(chord: Chord) -> bool:

@@ -3,6 +3,10 @@
 Plain-text, deterministic output on stdout; diagnostics on stderr.  Exit
 status: 0 success, 1 failed verification, 2 usage or parse error, 3 when
 an operator meets a chord of the wrong size.
+
+``graph`` and ``verify`` are imported by their own commands only, so the
+one-shot commands (classify, apply, orbit, partition, enumerate) load no
+more than ``core``, ``transform`` and ``classify``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import graph as _graph
 from .classify import classify as classify_chord
 from .core import (
     InvalidSizeError,
@@ -23,7 +26,6 @@ from .core import (
     parse_chord,
 )
 from .transform import apply_word, orbit, parse_generators, parse_word
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -73,11 +75,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    chord_graph = _graph.build_chord_graph(include_dd=args.include_dd)
+    from .graph import build_chord_graph, export_dot, export_json
+
+    chord_graph = build_chord_graph(include_dd=args.include_dd)
     if args.format == "dot":
-        text = _graph.export_dot(chord_graph)
+        text = export_dot(chord_graph)
     else:
-        text = _graph.export_json(chord_graph)
+        text = export_json(chord_graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -87,6 +91,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks
+
     all_passed = True
     for name, passed, detail in run_checks():
         status = "PASS" if passed else "FAIL"

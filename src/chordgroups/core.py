@@ -16,6 +16,9 @@ Chords, compositions and partitions are all plain tuples of ints, so they
 hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 ``make_partition`` are the validating constructors; everything downstream
 assumes already-validated values.
+
+``Record`` is the base of the package's few immutable value classes
+(``ChordLabel`` and the graph's nodes, edges and graph).
 """
 
 from __future__ import annotations
@@ -28,6 +31,49 @@ OCTAVE = 12
 Chord = tuple[int, ...]
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
+
+
+class Record:
+    """An immutable value whose fields are named in ``__match_args__``.
+
+    Equality, hashing and ``repr`` read those fields exactly as a frozen
+    dataclass does: equal only to an instance of the same class, hashed as
+    the tuple of field values, shown as ``Name(field=value, ...)``.  Any
+    slot after the fields holds a value derived from them at construction.
+    Pickling and copying rebuild the value through the constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        """Set every slot, fields first, once; only constructors call this."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 class InvalidChordError(ValueError):
@@ -131,12 +177,16 @@ def chord_to_composition(chord: Chord) -> Composition:
     (4, 3, 4, 1)
     >>> chord_to_composition((0,))
     (12,)
+
+    The empty tuple raises EmptyChordError.
     """
+    if not chord:
+        raise EmptyChordError("a chord needs at least one tone")
     return tuple(b - a for a, b in zip(chord, chord[1:])) + (OCTAVE - chord[-1],)
 
 
 def chord_to_partition(chord: Chord) -> Partition:
-    """The chord's gap multiset, sorted ascending.
+    """The chord's gap multiset, sorted ascending; EmptyChordError for ``()``.
 
     >>> chord_to_partition((0, 3, 8))
     (3, 4, 5)

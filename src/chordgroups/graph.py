@@ -6,16 +6,20 @@ both operators are involutions, and each is stored once, from the endpoint
 that sorts first (self-loops allowed).  Without the fully fixed dd chord
 the graph splits into two 12-node components that are isomorphic via the
 label map MM->mm, mM->Mm, AM->dm.
+
+The node, edge and graph types are ``core.Record`` values.  They are not
+dataclasses, because importing ``dataclasses`` pulls in ``inspect`` and
+``ast``, and not NamedTuples, which compare equal to plain tuples.  Each
+derived value (a node's id, the graph's id index) is computed once, when
+the value is built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
 
 from .classify import ChordLabel, SeventhFamily, seventh_table
-from .core import Chord
+from .core import Chord, Record
 from .transform import Operator, apply_operator
 
 
@@ -23,21 +27,30 @@ class IsomorphismViolationError(Exception):
     """The component map failed to preserve an edge (an implementation bug)."""
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(Record):
+    """A labeled harmonic tetrad; its ``id`` is the label's text."""
+
+    __slots__ = ("chord", "label", "id")
+    __match_args__ = ("chord", "label")
+
     chord: Chord
     label: ChordLabel
+    id: str
 
-    @property
-    def id(self) -> str:
-        return str(self.label)
+    def __init__(self, chord: Chord, label: ChordLabel) -> None:
+        self._init(chord, label, str(label))
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
+    __slots__ = ("source", "target", "op")
+    __match_args__ = ("source", "target", "op")
+
     source: str
     target: str
     op: Operator
+
+    def __init__(self, source: str, target: str, op: Operator) -> None:
+        self._init(source, target, op)
 
     @property
     def directed(self) -> bool:
@@ -45,19 +58,18 @@ class GraphEdge:
         return self.op is Operator.INVERSION
 
 
-@dataclass(frozen=True)
-class ChordGraph:
+class ChordGraph(Record):
+    __slots__ = ("nodes", "edges", "_by_id")
+    __match_args__ = ("nodes", "edges")
+
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
+    def __init__(self, nodes: tuple[GraphNode, ...], edges: tuple[GraphEdge, ...]) -> None:
+        self._init(nodes, edges, {node.id: node for node in nodes})
+
     def node(self, node_id: str) -> GraphNode:
         return self._by_id[node_id]
-
-    @cached_property
-    def _by_id(self) -> dict[str, GraphNode]:
-        # Stored in the instance __dict__, outside the frozen fields, so
-        # eq, hash and repr still see only nodes and edges.
-        return {node.id: node for node in self.nodes}
 
 
 _FAMILY_ORDER = {family: index for index, family in enumerate(SeventhFamily)}

@@ -103,6 +103,11 @@ class TestGapMaps:
     def test_single_tone_spans_the_octave(self):
         assert chord_to_composition((0,)) == (12,)
 
+    @pytest.mark.parametrize("gap_map", [chord_to_composition, chord_to_partition])
+    def test_empty_chord_is_an_empty_chord_error(self, gap_map):
+        with pytest.raises(EmptyChordError):
+            gap_map(())
+
     @pytest.mark.parametrize(
         "chord, partition",
         [
