@@ -10,7 +10,10 @@ is the one definition of all three:
   four-tone chords only.  ``d`` and ``a`` are involutions.
 
 Operator words such as ``"iid"`` are applied left to right (pipeline
-order), which is the convention used throughout the CLI.
+order), which is the convention used throughout the CLI.  A word is one
+element of the group that the operators generate on k gaps: ``apply_word``
+composes it in that group's multiplication table, one lookup per letter,
+and permutes the chord once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ class Operator(Enum):
 
 
 Word = tuple[Operator, ...]
+
+_LETTERS = {op.value: op for op in Operator}
 
 
 @cache
@@ -93,8 +98,8 @@ def augdim(chord: Chord) -> Chord:
 def parse_word(text: str) -> Word:
     """Parse an operator word like ``"iid"`` (case-insensitive; empty = identity)."""
     try:
-        return tuple(Operator(char) for char in text.lower())
-    except ValueError:
+        return tuple([_LETTERS[char] for char in text.lower()])
+    except KeyError:
         raise ValueError(f"operator word may only contain i, d, a: {text!r}") from None
 
 
@@ -103,8 +108,8 @@ def parse_generators(text: str) -> Word:
     if not text.strip():
         return ()
     try:
-        symbols = [Operator(token.strip().lower()) for token in text.split(",")]
-    except ValueError:
+        symbols = [_LETTERS[token.strip().lower()] for token in text.split(",")]
+    except KeyError:
         raise ValueError(f"generators must be a comma list over i, d, a: {text!r}") from None
     return tuple(dict.fromkeys(symbols))
 
@@ -115,11 +120,35 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     >>> apply_word("dd", (0, 4, 7, 10))
     (0, 4, 7, 10)
     """
-    if isinstance(word, str):
-        word = parse_word(word)
-    for op in word:
-        chord = apply_operator(op, chord)
-    return chord
+    word = parse_word(word) if isinstance(word, str) else tuple(word)
+    if not word:
+        return chord
+    elements, steps = _word_table(len(chord))
+    element = 0
+    try:
+        for op in word:
+            element = steps[op][element]
+    except KeyError:
+        gap_permutation(op, len(chord))  # raises the error for an op outside the table
+        raise
+    return _permute(chord, elements[element])
+
+
+@cache
+def _word_table(k: int) -> tuple[tuple[tuple[int, ...], ...], dict[Operator, tuple[int, ...]]]:
+    """The group that the operators valid on k gaps generate, as a multiplication table.
+
+    ``elements`` lists its gap permutations, the identity first, and
+    ``steps[op][n]`` is the index of element n, then ``op``.
+    """
+    ops = [op for op in Operator if k == 4 or op is not Operator.AUGDIM]
+    elements = tuple(sorted(_group(frozenset(ops), k)))  # the identity sorts first
+    index = {perm: n for n, perm in enumerate(elements)}
+    steps = {}
+    for op in ops:
+        step = gap_permutation(op, k)
+        steps[op] = tuple(index[tuple(perm[j] for j in step)] for perm in elements)
+    return elements, steps
 
 
 @cache

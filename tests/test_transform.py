@@ -13,6 +13,8 @@ from chordgroups.core import (
 )
 from chordgroups.transform import (
     Operator,
+    _group,
+    _word_table,
     apply_operator,
     apply_word,
     augdim,
@@ -53,6 +55,7 @@ def _augdim_by_tones(chord):
 
 ORACLES = {I: _invert_by_tones, D: _dual_by_tones, A: _augdim_by_tones}
 CHORDS = [chord for k in range(1, 7) for chord in enumerate_chords(k)]
+EVERY_CHORD = [chord for k in range(1, 13) for chord in enumerate_chords(k)]
 
 
 def _operators_on(chord):
@@ -170,6 +173,18 @@ class TestGapActions:
             with pytest.raises(WrongArityError, match="four-tone"):
                 gap_permutation(A, k)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_word_table_is_the_group_multiplication(self, k):
+        elements, steps = _word_table(k)
+        assert elements[0] == tuple(range(k))
+        assert set(steps) == ({I, D, A} if k == 4 else {I, D})
+        assert set(elements) == _group(frozenset(steps), k)
+        for op, row in steps.items():
+            step = gap_permutation(op, k)
+            assert [elements[n] for n in row] == [
+                tuple(perm[j] for j in step) for perm in elements
+            ]
+
     def test_operators_preserve_the_partition(self):
         for chord in enumerate_chords(4):
             target = chord_to_partition(chord)
@@ -183,7 +198,9 @@ class TestGapActions:
 
 class TestWords:
     def test_empty_word_is_identity(self):
-        assert apply_word("", (0, 4, 7)) == (0, 4, 7)
+        chord = (0, 4, 7)
+        assert apply_word("", chord) is chord
+        assert apply_word([], chord) is chord
 
     def test_inversion_cubed_fixes_triads(self):
         assert apply_word("iii", (0, 4, 7)) == (0, 4, 7)
@@ -222,9 +239,38 @@ class TestWords:
             expected = ORACLES[op](expected)
         assert apply_word(word, chord) == expected
 
+    def test_words_up_to_length_three_match_the_tone_formulas_on_every_chord(self):
+        # every size 1..12, so each size's word table is walked
+        for chord in EVERY_CHORD:
+            assert apply_word((), chord) == chord
+            level = [((), chord)]
+            for _ in range(3):
+                level = [
+                    ((*word, op), ORACLES[op](image))
+                    for word, image in level
+                    for op in _operators_on(chord)
+                ]
+                for word, image in level:
+                    assert apply_word(word, chord) == image
+
     def test_augdim_in_word_needs_tetrad(self):
         with pytest.raises(WrongArityError):
             apply_word("ia", (0, 4, 7))
+
+    def test_a_string_word_is_parsed_before_it_is_applied(self):
+        with pytest.raises(ValueError, match="may only contain") as excinfo:
+            apply_word("ax", (0, 4, 7))
+        assert excinfo.type is ValueError
+
+    def test_the_first_bad_item_of_a_sequence_decides(self):
+        with pytest.raises(WrongArityError, match="four-tone"):
+            apply_word([I, A, "x"], (0, 4, 7))
+        with pytest.raises(ValueError, match="not an operator: 'x'") as excinfo:
+            apply_word([I, "x", A], (0, 4, 7))
+        assert excinfo.type is ValueError
+
+    def test_a_one_shot_iterator_is_a_word(self):
+        assert apply_word(iter([I, D]), (0, 4, 7)) == apply_word([I, D], (0, 4, 7))
 
 
 class TestOrbits:
