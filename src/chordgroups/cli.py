@@ -25,7 +25,7 @@ from .core import (
     format_parts,
     parse_chord,
 )
-from .transform import apply_word, orbit, parse_generators, parse_word
+from .transform import apply_word, orbit, parse_generators
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -35,7 +35,7 @@ EXIT_ARITY = 3
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     chord = parse_chord(args.chord)
-    print(format_chord(apply_word(parse_word(args.word), chord)))
+    print(format_chord(apply_word(args.word, chord)))
     return EXIT_OK
 
 

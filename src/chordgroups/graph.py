@@ -3,9 +3,11 @@
 Each edge is one operator's action on one node.  Inversion edges are
 directed; duality and augmented-diminished edges are undirected, because
 both operators are involutions, and each is stored once, from the endpoint
-that sorts first (self-loops allowed).  Without the fully fixed dd chord
-the graph splits into two 12-node components that are isomorphic via the
-label map MM->mm, mM->Mm, AM->dm.
+that sorts first (self-loops allowed).  Without the fully fixed dd chord the
+graph splits into two 12-node components, one per gap multiset, which the
+gap relabelling 1->2, 3->4, 4->3 maps onto each other: it commutes with the
+operators, which permute gap positions.  The relabelling 1->4, 3->2, 4->3
+is a second isomorphism that shifts the inversion index; it is not returned.
 
 The node, edge and graph types are ``core.Record`` values.  They are not
 dataclasses, because importing ``dataclasses`` pulls in ``inspect`` and
@@ -17,9 +19,10 @@ the value is built.
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from .classify import ChordLabel, SeventhFamily, seventh_table
-from .core import Chord, Record
+from .core import Chord, Record, chord_to_composition
 from .transform import Operator, apply_operator
 
 
@@ -142,47 +145,43 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     return components
 
 
-_COMPONENT_MAP = {
-    SeventhFamily.MM: SeventhFamily.mm,
-    SeventhFamily.mM: SeventhFamily.Mm,
-    SeventhFamily.AM: SeventhFamily.dm,
-}
+# Operators permute gap positions, so they commute with a relabelling of gap values.
+_GAP_RELABELLING = {1: 2, 3: 4, 4: 3}
+_gaps = cache(chord_to_composition)  # the same 25 chords come back on every call
 
 
 def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
-    """The label map between the two 12-node components, edge-checked.
+    """The gap-relabelling map between the two 12-node components.
 
-    Maps each upper-component node (F, n) to (F', n) with F' given by
-    MM->mm, mM->Mm, AM->dm, and verifies that every operator-labeled edge
-    is preserved in both directions.  A failure raises
-    IsomorphismViolationError; dd nodes, if present, are ignored.
+    Raises IsomorphismViolationError unless it preserves every edge, operator included.
     """
+    id_of = {_gaps(node.chord): node.id for node in graph.nodes}
     mapping: dict[str, str] = {}
-    for node in graph.nodes:
-        partner_family = _COMPONENT_MAP.get(node.label.family)
-        if partner_family is not None:
-            mapping[node.id] = str(ChordLabel(partner_family, node.label.inversion))
-    inverse = {lower: upper for upper, lower in mapping.items()}
+    for gaps, node_id in id_of.items():
+        if sorted(gaps) == [1, 3, 4, 4]:
+            image = tuple([_GAP_RELABELLING[gap] for gap in gaps])
+            if image not in id_of:
+                raise IsomorphismViolationError(f"{node_id} has no image: no node has gaps {image}")
+            mapping[node_id] = id_of[image]
+    lower = set(mapping.values())
 
-    def edge_key(source: str, target: str, op: Operator):
-        if op is Operator.INVERSION:
-            return (source, target, op)
-        return (*sorted((source, target)), op)
-
-    lower_keys = set()
-    mapped_keys = set()
+    mapped_keys, lower_keys = set(), set()
     for edge in graph.edges:
-        if edge.source in mapping:
-            mapped_keys.add(
-                edge_key(mapping[edge.source], mapping[edge.target], edge.op)
-            )
-        elif edge.source in inverse:
-            lower_keys.add(edge_key(edge.source, edge.target, edge.op))
+        source, target, op = edge.source, edge.target, edge.op
+        keys = lower_keys
+        if source in mapping and target in mapping:
+            source, target, keys = mapping[source], mapping[target], mapped_keys
+        elif source in mapping or target in mapping:
+            raise IsomorphismViolationError(f"edge leaves its component: {(source, target, op)}")
+        elif source not in lower and target not in lower:
+            continue
+        if not edge.directed and target < source:
+            source, target = target, source
+        keys.add((source, target, op))
 
     if mapped_keys != lower_keys:
-        raise IsomorphismViolationError(
-            f"unmatched edges: {sorted(mapped_keys ^ lower_keys)}"
-        )
+        unmatched = sorted(mapped_keys ^ lower_keys, key=lambda k: (k[0], k[1], _OP_ORDER[k[2]]))
+        raise IsomorphismViolationError(f"unmatched edges: {unmatched}")
     return mapping
 
 

@@ -8,6 +8,7 @@ import pytest
 from chordgroups.classify import SeventhFamily, seventh_table
 from chordgroups.graph import (
     ChordGraph,
+    GraphEdge,
     IsomorphismViolationError,
     Operator,
     build_chord_graph,
@@ -135,6 +136,47 @@ class TestIsomorphism:
         unmatched = "[('dm0', 'mm0', <Operator.AUGDIM: 'a'>)]"
         with pytest.raises(IsomorphismViolationError, match=re.escape(unmatched)):
             component_isomorphism(ChordGraph(graph.nodes, edges))
+
+    @pytest.mark.parametrize(
+        "pair, unmatched",
+        [
+            (
+                {"MM1", "MM2"},
+                "[('mm1', 'mm2', <Operator.INVERSION: 'i'>), ('mm1', 'mm2', <Operator.DUALITY: 'd'>)]",
+            ),
+            (
+                {"AM1", "mM2"},
+                "[('Mm2', 'dm1', <Operator.DUALITY: 'd'>), ('Mm2', 'dm1', <Operator.AUGDIM: 'a'>)]",
+            ),
+        ],
+        ids=["MM1-MM2", "AM1-mM2"],
+    )
+    def test_two_missing_edges_on_one_pair_are_a_violation(self, graph, pair, unmatched):
+        # the two unmatched keys differ only in their operator
+        edges = tuple(e for e in graph.edges if {e.source, e.target} != pair)
+        assert len(edges) == len(graph.edges) - 2
+        with pytest.raises(IsomorphismViolationError, match=re.escape(unmatched)):
+            component_isomorphism(ChordGraph(graph.nodes, edges))
+
+    @pytest.mark.parametrize("include_dd, target", [(False, "mm1"), (True, "dd0")])
+    def test_edge_leaving_the_component_is_a_violation(self, include_dd, target):
+        # mapping mm1 to itself would alias the real mm0 -> mm1 edge and pass
+        graph = build_chord_graph(include_dd=include_dd)
+        edges = tuple(
+            GraphEdge(e.source, target, e.op)
+            if (e.source, e.op) == ("MM0", Operator.INVERSION)
+            else e
+            for e in graph.edges
+        )
+        named = f"('MM0', '{target}', <Operator.INVERSION: 'i'>)"
+        with pytest.raises(IsomorphismViolationError, match=re.escape(named)):
+            component_isomorphism(ChordGraph(graph.nodes, edges))
+
+    def test_missing_partner_node_is_a_violation(self, graph):
+        nodes = tuple(n for n in graph.nodes if n.id != "mm0")
+        edges = tuple(e for e in graph.edges if "mm0" not in (e.source, e.target))
+        with pytest.raises(IsomorphismViolationError):
+            component_isomorphism(ChordGraph(nodes, edges))
 
     def test_example_edges_map_across_components(self, graph):
         # a sends MM0 to AM0 upstairs and its partner mm0 to dm0 downstairs
