@@ -11,6 +11,11 @@ such as ``chordgroups classify`` imports neither ``graph`` nor ``json``.
 ``core``, ``transform`` and ``classify`` load with the package: ``classify``
 is both a submodule and a function, and loading the submodule lazily would
 rebind the package attribute from the function to the module.
+
+Because that attribute is the function, ``import chordgroups.classify as m``
+binds the function, not the submodule: ``import a.b as m`` reads the
+package attribute ``b``.  ``from chordgroups.classify import ...`` and
+``sys.modules["chordgroups.classify"]`` reach the submodule.
 """
 
 from importlib import import_module

@@ -182,7 +182,7 @@ def chord_to_composition(chord: Chord) -> Composition:
     """
     if not chord:
         raise EmptyChordError("a chord needs at least one tone")
-    return tuple(b - a for a, b in zip(chord, chord[1:])) + (OCTAVE - chord[-1],)
+    return tuple([b - a for a, b in zip(chord, (*chord[1:], OCTAVE))])
 
 
 def chord_to_partition(chord: Chord) -> Partition:
@@ -203,7 +203,7 @@ def composition_to_chord(comp: Composition) -> Chord:
     >>> composition_to_chord((3, 5, 4))
     (0, 3, 8)
     """
-    return tuple(accumulate((0, *comp[:-1])))
+    return (0, *accumulate(comp[:-1]))
 
 
 def enumerate_chords(k: int) -> list[Chord]:
@@ -244,17 +244,27 @@ def chords_of_partition(partition: Partition) -> list[Chord]:
 
 
 def _distinct_orderings(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a sorted multiset, lexicographically."""
-    if not parts:
-        yield ()
-        return
-    previous = None
-    for i, part in enumerate(parts):
-        if part == previous:
-            continue
-        previous = part
-        for rest in _distinct_orderings(parts[:i] + parts[i + 1 :]):
-            yield (part, *rest)
+    """Distinct permutations of a sorted multiset, lexicographically.
+
+    Narayana Pandita's next-permutation step (Knuth's Algorithm L, TAOCP
+    7.2.1.2): find the last ascent ``order[j] < order[j + 1]``, swap
+    ``order[j]`` with the last part larger than it, and reverse the tail
+    after j.  Equal parts never form an ascent, so each distinct ordering
+    comes exactly once, and the last one has no ascent at all.
+    """
+    order = list(parts)
+    while True:
+        yield tuple(order)
+        j = len(order) - 2
+        while j >= 0 and order[j] >= order[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(order) - 1
+        while order[m] <= order[j]:
+            m -= 1
+        order[j], order[m] = order[m], order[j]
+        order[j + 1 :] = order[: j : -1]
 
 
 def parse_chord(text: str) -> Chord:

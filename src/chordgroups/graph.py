@@ -119,11 +119,18 @@ def build_chord_graph(include_dd: bool = False) -> ChordGraph:
 
 
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
-    """Components of the underlying undirected graph, largest first."""
+    """Components of the underlying undirected graph, largest first.
+
+    Raises ValueError, naming the edge, if an edge has an endpoint that is
+    not one of the graph's nodes.
+    """
     neighbours: dict[str, set[str]] = {node.id: set() for node in graph.nodes}
     for edge in graph.edges:
-        neighbours[edge.source].add(edge.target)
-        neighbours[edge.target].add(edge.source)
+        try:
+            neighbours[edge.source].add(edge.target)
+            neighbours[edge.target].add(edge.source)
+        except KeyError as exc:
+            raise ValueError(f"{edge!r} ends at {exc.args[0]!r}, which is not a node") from None
 
     by_id = graph._by_id
     remaining = dict.fromkeys(neighbours)

@@ -9,11 +9,18 @@ is the one definition of all three:
 * augmented-diminished duality ``a`` swaps the two middle gaps; defined on
   four-tone chords only.  ``d`` and ``a`` are involutions.
 
+A permutation acts on a chord in one pass (``_permute``): the image's
+tones are the prefix sums of the chord's gaps taken in the permuted order.
+``invert``, ``dual`` and ``augdim`` read their permutation from tables
+indexed by chord size, built once from ``gap_permutation``.
+
 Operator words such as ``"iid"`` are applied left to right (pipeline
 order), which is the convention used throughout the CLI.  A word is one
 element of the group that the operators generate on k gaps: ``apply_word``
-composes it in that group's multiplication table, one lookup per letter,
-and permutes the chord once.
+composes it in that group's multiplication (Cayley) table, one lookup per
+letter, and permutes the chord once.  ``orbit`` closes the generators into
+that group by breadth-first search over products, then applies each
+element once.
 """
 
 from __future__ import annotations
@@ -64,8 +71,25 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
     return tuple(image)
 
 
+# gap_permutation's i and d on k gaps, indexed by k = 0..12, and a on four,
+# so that the single operators find their permutation without hashing an
+# Operator.  Larger tuples fall back to gap_permutation itself.
+_ROTATE_LEFT = tuple([gap_permutation(Operator.INVERSION, k) for k in range(OCTAVE + 1)])
+_REVERSE = tuple([gap_permutation(Operator.DUALITY, k) for k in range(OCTAVE + 1)])
+_MIDDLE_SWAP = gap_permutation(Operator.AUGDIM, 4)
+# Reading a member off an Enum class costs about as much as hashing it.
+_INVERSION, _DUALITY, _AUGDIM = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
+
+
 def apply_operator(op: Operator, chord: Chord) -> Chord:
-    return _permute(chord, gap_permutation(op, len(chord)))
+    """``op`` applied to ``chord``; ValueError if ``op`` is not an Operator."""
+    if op is _INVERSION:
+        return invert(chord)
+    if op is _DUALITY:
+        return dual(chord)
+    if op is _AUGDIM:
+        return augdim(chord)
+    return _permute(chord, gap_permutation(op, len(chord)))  # raises: not an operator
 
 
 def invert(chord: Chord) -> Chord:
@@ -74,7 +98,10 @@ def invert(chord: Chord) -> Chord:
     >>> invert((0, 4, 7))
     (0, 3, 8)
     """
-    return apply_operator(Operator.INVERSION, chord)
+    k = len(chord)
+    return _permute(
+        chord, _ROTATE_LEFT[k] if k <= OCTAVE else gap_permutation(Operator.INVERSION, k)
+    )
 
 
 def dual(chord: Chord) -> Chord:
@@ -83,7 +110,8 @@ def dual(chord: Chord) -> Chord:
     >>> dual((0, 4, 7))
     (0, 5, 8)
     """
-    return apply_operator(Operator.DUALITY, chord)
+    k = len(chord)
+    return _permute(chord, _REVERSE[k] if k <= OCTAVE else gap_permutation(Operator.DUALITY, k))
 
 
 def augdim(chord: Chord) -> Chord:
@@ -92,7 +120,8 @@ def augdim(chord: Chord) -> Chord:
     >>> augdim((0, 4, 7, 11))
     (0, 4, 8, 11)
     """
-    return apply_operator(Operator.AUGDIM, chord)
+    k = len(chord)
+    return _permute(chord, _MIDDLE_SWAP if k == 4 else gap_permutation(Operator.AUGDIM, k))
 
 
 def parse_word(text: str) -> Word:

@@ -102,14 +102,24 @@ def _check_partition_fibers() -> CheckResult:
     return True, ""
 
 
-def _gap_law(chord: Chord) -> str:
-    """The first of i, d and (tetrads) a that does not move chord's gaps as documented, or ""."""
+def _images(chord: Chord) -> tuple[Chord, ...]:
+    """chord's images under i, d and, for tetrads, a: each operator applied once."""
+    if len(chord) == 4:
+        return invert(chord), dual(chord), augdim(chord)
+    return invert(chord), dual(chord)
+
+
+def _gap_law(chord: Chord, images: tuple[Chord, ...]) -> str:
+    """The first of i, d and (tetrads) a that does not move chord's gaps as documented, or "".
+
+    ``images`` is ``_images(chord)``.
+    """
     g = chord_to_composition(chord)
-    if invert(chord) != composition_to_chord(g[1:] + g[:1]):
+    if images[0] != composition_to_chord(g[1:] + g[:1]):
         return f"inversion is not rotate-left at {chord}"
-    if dual(chord) != composition_to_chord(g[::-1]):
+    if images[1] != composition_to_chord(g[::-1]):
         return f"duality is not reverse at {chord}"
-    if len(chord) == 4 and augdim(chord) != composition_to_chord((g[0], g[2], g[1], g[3])):
+    if len(chord) == 4 and images[2] != composition_to_chord((g[0], g[2], g[1], g[3])):
         return f"augdim is not the middle swap at {chord}"
     return ""
 
@@ -121,7 +131,7 @@ def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def _relations_check(k: int) -> Callable[[], CheckResult]:
     def check() -> CheckResult:
         for chord in enumerate_chords(k):
-            if failure := _gap_law(chord):
+            if failure := _gap_law(chord, _images(chord)):
                 return False, failure
         i, d = (gap_permutation(op, k) for op in (Operator.INVERSION, Operator.DUALITY))
         powers = [tuple(range(k))]  # powers[n] = i^n; powers[0] is the identity
@@ -143,11 +153,12 @@ def _relations_check(k: int) -> Callable[[], CheckResult]:
 
 def _check_composition_action() -> CheckResult:
     for chord in enumerate_chords(4):
-        if failure := _gap_law(chord):
+        images = _images(chord)
+        if failure := _gap_law(chord, images):
             return False, failure
         partition = chord_to_partition(chord)
-        for op in (invert, dual, augdim):
-            if chord_to_partition(op(chord)) != partition:
+        for op, image in zip((invert, dual, augdim), images):
+            if chord_to_partition(image) != partition:
                 return False, f"{op.__name__} changed the partition of {chord}"
     return True, ""
 

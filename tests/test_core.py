@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-from itertools import permutations
-from math import comb
+from collections import Counter
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -220,17 +221,29 @@ class TestChordsOfPartition:
         assert (0, 4, 7) in fiber and (0, 3, 8) in fiber
         assert len(fiber) == 6
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_fibers_match_brute_force(self, k):
+        # oracle: every ordering of the parts, as prefix sums, deduplicated
+        for partition in enumerate_partitions(k):
+            expected = sorted(
+                {tuple(accumulate(perm[:-1], initial=0)) for perm in permutations(partition)}
+            )
+            assert chords_of_partition(partition) == expected
+
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_fibers_tile_all_chords_exactly_once(self, k):
         covered = []
         for partition in enumerate_partitions(k):
             fiber = chords_of_partition(partition)
-            assert len(set(fiber)) == len(fiber)
+            assert all(a < b for a, b in zip(fiber, fiber[1:]))
+            multinomial = factorial(k)
+            for count in Counter(partition).values():
+                multinomial //= factorial(count)
+            assert len(fiber) == multinomial
             for chord in fiber:
                 assert chord_to_partition(chord) == partition
             covered.extend(fiber)
-        assert sorted(covered) == enumerate_chords(k)
-        assert len(covered) == len(set(covered))
+        assert sorted(covered) == [(0, *rest) for rest in combinations(range(1, 12), k - 1)]
 
 
 class TestTextForms:

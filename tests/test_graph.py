@@ -119,6 +119,16 @@ class TestComponents:
         assert {chord_to_partition(n.chord) for n in upper} == {(1, 3, 4, 4)}
         assert {chord_to_partition(n.chord) for n in lower} == {(2, 3, 3, 4)}
 
+    @pytest.mark.parametrize("dropped", ["mm0", "MM0", "dm3"])
+    def test_an_edge_to_a_missing_node_is_a_value_error(self, graph, dropped):
+        # the node goes, its edges stay; the first edge to reach it is named
+        nodes = tuple(n for n in graph.nodes if n.id != dropped)
+        edge = next(e for e in graph.edges if dropped in (e.source, e.target))
+        message = f"{edge!r} ends at {dropped!r}, which is not a node"
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            connected_components(ChordGraph(nodes, graph.edges))
+        assert excinfo.type is ValueError
+
 
 class TestIsomorphism:
     def test_label_map(self, graph):

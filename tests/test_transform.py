@@ -14,6 +14,7 @@ from chordgroups.core import (
 from chordgroups.transform import (
     Operator,
     _group,
+    _permute,
     _word_table,
     apply_operator,
     apply_word,
@@ -194,6 +195,45 @@ class TestGapActions:
     def test_gap_actions_generate_every_ordering(self):
         members = orbit((0, 1, 3, 7), [I, D, A])
         assert sorted(tuple(gaps(c)) for c in members) == sorted(permutations((1, 2, 4, 5)))
+
+
+class TestSingleOperators:
+    """``invert``, ``dual``, ``augdim`` and ``apply_operator`` read per-size tables."""
+
+    SINGLE = {I: invert, D: dual, A: augdim}
+
+    def test_match_the_tone_formulas_on_every_chord(self):
+        # sizes 7..12 too, which verify never reaches
+        for chord in EVERY_CHORD:
+            for op in _operators_on(chord):
+                assert self.SINGLE[op](chord) == ORACLES[op](chord)
+                assert apply_operator(op, chord) == ORACLES[op](chord)
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except Exception as exc:  # compared by class and text
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize(
+        "chord", [(), (0,), (0, 4, 7), tuple(range(12)), tuple(range(13)), tuple(range(14))]
+    )
+    def test_at_the_table_edges_they_act_as_gap_permutation_does(self, chord):
+        for op, single in self.SINGLE.items():
+            expected = self._outcome(lambda: _permute(chord, gap_permutation(op, len(chord))))
+            assert self._outcome(lambda: single(chord)) == expected
+            assert self._outcome(lambda: apply_operator(op, chord)) == expected
+        assert self._outcome(lambda: augdim(chord)) == (
+            WrongArityError,
+            f"augmented-diminished duality needs a four-tone chord, got {len(chord)} tones",
+        )
+
+    @pytest.mark.parametrize("bad", ["i", None])
+    def test_apply_operator_rejects_a_non_operator(self, bad):
+        with pytest.raises(ValueError, match="not an operator") as excinfo:
+            apply_operator(bad, (0, 4, 7))
+        assert excinfo.type is ValueError
 
 
 class TestWords:

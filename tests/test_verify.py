@@ -39,6 +39,7 @@ def _plant(monkeypatch, name: str, overrides: dict) -> None:
     def mutant(chord):
         return overrides[chord] if chord in overrides else real(chord)
 
+    mutant.__name__ = name
     monkeypatch.setattr(verify, name, mutant)
 
 
@@ -163,6 +164,19 @@ def test_composition_action_fails_at_the_planted_chord(monkeypatch, name):
     passed, detail = CHECKS["composition-action"]()
     assert not passed
     assert f"at {target}" in detail
+
+
+@pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
+def test_composition_action_compares_the_partition_of_the_image(monkeypatch, name):
+    # the gap laws are silenced, so only the partition clause can fail; the
+    # planted image (0, 4, 7, 11) has gaps 1,3,4,4, the target 1,1,1,9
+    target = enumerate_chords(4)[-1]
+    _plant(monkeypatch, name, {target: (0, 4, 7, 11)})
+    monkeypatch.setattr(verify, "_gap_law", lambda chord, images: "")
+    assert CHECKS["composition-action"]() == (
+        False,
+        f"{name} changed the partition of {target}",
+    )
 
 
 @pytest.mark.parametrize(
