@@ -23,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from .core import Chord, Record, WrongArityError, chord_to_partition
+from .core import Chord, InvalidChordError, Record, WrongArityError, chord_to_partition
 from .transform import dual, invert
 
 
@@ -48,6 +48,10 @@ class SeventhFamily(Enum):
     dm = "dm"
     mm = "mm"
     dd = "dd"
+
+    # As transform.Operator: identity hashing keeps the graph's per-node family
+    # lookups out of Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
 
 Family = Union[TriadFamily, SeventhFamily]
@@ -141,18 +145,23 @@ def classify(chord: Chord) -> ChordLabel | None:
 
     Asking about a non-harmonic chord is a legitimate query, so that case
     is a return value, not an error; sizes other than 3 and 4 raise
-    WrongArityError.
+    WrongArityError.  A value that is not a chord tuple and cannot be looked
+    up raises InvalidChordError: a list of three or four tones, or a value
+    with no length.
 
     >>> str(classify((0, 3, 8)))
     'Major1'
     >>> classify((0, 1, 2, 3)) is None
     True
     """
-    if len(chord) not in (3, 4):
-        raise WrongArityError(
-            f"classification covers three- and four-tone chords, got {len(chord)} tones"
-        )
-    return _LABELS.get(chord)
+    try:
+        if len(chord) not in (3, 4):
+            raise WrongArityError(
+                f"classification covers three- and four-tone chords, got {len(chord)} tones"
+            )
+        return _LABELS.get(chord)
+    except TypeError:
+        raise InvalidChordError(f"a chord is a tuple of ints, got {chord!r}") from None
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:

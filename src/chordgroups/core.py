@@ -45,11 +45,22 @@ class Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each slot's own descriptor sets it, bypassing the __setattr__ below
+        # without the by-name lookup that object.__setattr__ does per call.
+        cls._setters = tuple([vars(cls)[name].__set__ for name in cls.__slots__])
 
     def _init(self, *values: object) -> None:
         """Set every slot, fields first, once; only constructors call this."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):  # as zip(strict=True), whose keyword call costs more
+            name = type(self).__name__
+            raise TypeError(f"{name} has {len(setters)} slots, got {len(values)} values")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

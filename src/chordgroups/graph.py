@@ -14,16 +14,25 @@ dataclasses, because importing ``dataclasses`` pulls in ``inspect`` and
 ``ast``, and not NamedTuples, which compare equal to plain tuples.  Each
 derived value (a node's id, the graph's id index) is computed once, when
 the value is built.
+
+``export_json`` writes its two-space, sorted-key layout itself, escaping
+strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
+sort_keys=True) + "\n"``, without the pure-Python encoder that ``indent``
+selects.  The hot loops read enum members through module aliases, because
+reading one off its class costs a Python-level lookup on every pass.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import ChordLabel, SeventhFamily, seventh_table
 from .core import Chord, Record, chord_to_composition
-from .transform import Operator, apply_operator
+from .transform import Operator, augdim, dual, invert
+
+_INVERSION, _DUALITY, _AUGDIM = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
+_DD = SeventhFamily.dd
 
 
 class IsomorphismViolationError(Exception):
@@ -58,7 +67,7 @@ class GraphEdge(Record):
     @property
     def directed(self) -> bool:
         """Only inversion edges have a direction; d and a are involutions."""
-        return self.op is Operator.INVERSION
+        return self.op is _INVERSION
 
 
 class ChordGraph(Record):
@@ -83,43 +92,55 @@ def _node_key(node: GraphNode) -> tuple[int, int]:
     return (_FAMILY_ORDER[node.label.family], node.label.inversion)
 
 
-def _endpoint_key(node: GraphNode) -> tuple[str, str]:
-    # Case-insensitive first so output order is stable across families like
-    # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
-    return (node.id.lower(), node.id)
-
-
 def build_chord_graph(include_dd: bool = False) -> ChordGraph:
     """Build the labeled graph over the harmonic four-tone chords.
 
     The dd chord is fixed by all three operators, so by default it is left
     out; with ``include_dd`` it appears as an isolated node with three
-    self-loops.
+    self-loops.  Edges come grouped by operator (i, d, a), each group
+    sorted by source, then target.
     """
     table = seventh_table()
     nodes = sorted(
         (
             GraphNode(chord, label)
             for chord, label in table.items()
-            if include_dd or label.family is not SeventhFamily.dd
+            if include_dd or label.family is not _DD
         ),
         key=_node_key,
     )
-    by_chord = {node.chord: node for node in nodes}
+    # An involution edge is stored from the endpoint whose key sorts first:
+    # case-insensitive first so output order is stable across families like
+    # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
+    endpoint = {node.chord: (node.id.lower(), node.id) for node in nodes}
 
-    edges: list[GraphEdge] = []
-    for node in nodes:
-        for op in Operator:
-            image = by_chord[apply_operator(op, node.chord)]
-            if op is Operator.INVERSION or _endpoint_key(node) <= _endpoint_key(image):
-                edges.append(GraphEdge(node.id, image.id, op))
+    i_pairs: list[tuple[str, str]] = []
+    d_pairs: list[tuple[str, str]] = []
+    a_pairs: list[tuple[str, str]] = []
+    for chord, key in endpoint.items():
+        source = key[1]
+        i_pairs.append((source, endpoint[invert(chord)][1]))
+        image = endpoint[dual(chord)]
+        if key <= image:
+            d_pairs.append((source, image[1]))
+        image = endpoint[augdim(chord)]
+        if key <= image:
+            a_pairs.append((source, image[1]))
 
-    edges.sort(key=lambda e: (_OP_ORDER[e.op], e.source, e.target))
-    return ChordGraph(tuple(nodes), tuple(edges))
+    edges = tuple(
+        [
+            GraphEdge(source, target, op)
+            for op, group in ((_INVERSION, i_pairs), (_DUALITY, d_pairs), (_AUGDIM, a_pairs))
+            for source, target in sorted(group)
+        ]
+    )
+    return ChordGraph(tuple(nodes), edges)
 
 
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     """Components of the underlying undirected graph, largest first.
+
+    Each component lists its nodes in family, then inversion order.
 
     Raises ValueError, naming the edge, if an edge has an endpoint that is
     not one of the graph's nodes.
@@ -132,24 +153,24 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
         except KeyError as exc:
             raise ValueError(f"{edge!r} ends at {exc.args[0]!r}, which is not a node") from None
 
-    by_id = graph._by_id
-    remaining = dict.fromkeys(neighbours)
-    components: list[list[GraphNode]] = []
-    while remaining:
-        start = next(iter(remaining))
-        stack = [start]
-        members: set[str] = set()
+    # each node's place in (family, inversion) order, computed once
+    rank = {node.id: n for n, node in enumerate(sorted(graph.nodes, key=_node_key))}
+    seen: set[str] = set()
+    found: list[list[str]] = []
+    for start in neighbours:
+        if start in seen:
+            continue
+        members, stack = {start}, [start]
         while stack:
-            current = stack.pop()
-            if current in members:
-                continue
-            members.add(current)
-            del remaining[current]
-            stack.extend(n for n in neighbours[current] if n not in members)
-        components.append(sorted((by_id[m] for m in members), key=_node_key))
+            new = neighbours[stack.pop()] - members
+            members |= new
+            stack.extend(new)
+        seen |= members
+        found.append(sorted(members, key=rank.__getitem__))
 
-    components.sort(key=lambda comp: (-len(comp), [_node_key(n) for n in comp]))
-    return components
+    found.sort(key=lambda ids: (-len(ids), [rank[i] for i in ids]))
+    by_id = graph._by_id
+    return [[by_id[i] for i in ids] for ids in found]
 
 
 # Operators permute gap positions, so they commute with a relabelling of gap values.
@@ -182,7 +203,7 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
             raise IsomorphismViolationError(f"edge leaves its component: {(source, target, op)}")
         elif source not in lower and target not in lower:
             continue
-        if not edge.directed and target < source:
+        if op is not _INVERSION and target < source:
             source, target = target, source
         keys.add((source, target, op))
 
@@ -192,37 +213,71 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     return mapping
 
 
+_OP_LABEL = {op: op.value for op in Operator}  # Enum's .value is a Python-level property
+
+
 def export_dot(graph: ChordGraph) -> str:
     """Graphviz DOT text: i solid directed, d solid bidirectional, a dashed bidirectional."""
     lines = ["digraph chord_graph {"]
     for node in graph.nodes:
         lines.append(f"  {node.id}")
     for edge in graph.edges:
-        attrs = [f'label="{edge.op.value}"']
-        if not edge.directed:
+        op = edge.op
+        attrs = [f'label="{_OP_LABEL[op]}"']
+        if op is not _INVERSION:
             attrs.append("dir=both")
-        if edge.op is Operator.AUGDIM:
+        if op is _AUGDIM:
             attrs.append("style=dashed")
         lines.append(f'  {edge.source} -> {edge.target} [{", ".join(attrs)}]')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+# One node and one edge as json.dumps(indent=2, sort_keys=True) lays them out
+# at depth 2, inside the document's "nodes" and "edges" arrays.
+_NODE_JSON = """{
+      "chord": %s,
+      "family": %s,
+      "id": %s,
+      "inversion": %d
+    }"""
+_EDGE_JSON = """{
+      "from": %s,
+      "op": "%s",
+      "to": %s
+    }"""
+
+
 def export_json(graph: ChordGraph) -> str:
-    """One JSON document with sorted keys and deterministically ordered arrays."""
-    document = {
-        "nodes": [
-            {
-                "id": node.id,
-                "chord": list(node.chord),
-                "family": node.label.family.value,
-                "inversion": node.label.inversion,
-            }
-            for node in graph.nodes
-        ],
-        "edges": [
-            {"from": edge.source, "to": edge.target, "op": edge.op.value}
-            for edge in graph.edges
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """One JSON document with sorted keys and deterministically ordered arrays.
+
+    The text is ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
+    sort_keys=True) + "\\n"``, byte for byte: two-space indent, keys sorted,
+    strings ASCII-escaped, an empty array written ``[]``.
+    """
+    nodes = [
+        _NODE_JSON
+        % (
+            _json_array(list(map(str, node.chord)), "      "),
+            _quote(node.label.family.value),
+            _quote(node.id),
+            node.label.inversion,
+        )
+        for node in graph.nodes
+    ]
+    edges = [
+        _EDGE_JSON % (_quote(edge.source), _OP_LABEL[edge.op], _quote(edge.target))
+        for edge in graph.edges
+    ]
+    return '{\n  "edges": %s,\n  "nodes": %s\n}\n' % (
+        _json_array(edges, "  "),
+        _json_array(nodes, "  "),
+    )
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Encoded items as json.dumps(indent=2) lays out an array whose brackets sit at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"

@@ -39,6 +39,10 @@ class Operator(Enum):
     DUALITY = "d"
     AUGDIM = "a"
 
+    # Members are singletons that compare by identity, so they can hash by it:
+    # Enum's own __hash__ runs in Python, on every dict or cache lookup.
+    __hash__ = object.__hash__
+
 
 Word = tuple[Operator, ...]
 

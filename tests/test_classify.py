@@ -18,7 +18,12 @@ from chordgroups.classify import (
     seventh_table,
     triad_table,
 )
-from chordgroups.core import WrongArityError, chord_to_partition, enumerate_chords
+from chordgroups.core import (
+    InvalidChordError,
+    WrongArityError,
+    chord_to_partition,
+    enumerate_chords,
+)
 from chordgroups.transform import dual
 from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
 
@@ -164,6 +169,17 @@ class TestClassify:
     def test_other_sizes_raise(self, chord):
         with pytest.raises(WrongArityError):
             classify(chord)
+
+    @pytest.mark.parametrize("chord", [[0, 4, 7], [0, 4, 7, 11], 5, None], ids=repr)
+    def test_a_value_that_is_not_a_chord_tuple_is_invalid(self, chord):
+        # a list has a length but no hash; an int or None has neither
+        with pytest.raises(InvalidChordError, match=r"a chord is a tuple of ints, got ") as excinfo:
+            classify(chord)
+        assert excinfo.value.__suppress_context__  # no stray TypeError in the traceback
+
+    def test_a_list_of_the_wrong_size_is_still_an_arity_error(self):
+        with pytest.raises(WrongArityError):
+            classify([0, 4])
 
 
 class TestDualPairing:

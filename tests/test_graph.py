@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from chordgroups.classify import SeventhFamily, seventh_table
+from chordgroups.classify import ChordLabel, SeventhFamily, TriadFamily, seventh_table
 from chordgroups.graph import (
     ChordGraph,
     GraphEdge,
+    GraphNode,
     IsomorphismViolationError,
     Operator,
     build_chord_graph,
@@ -92,6 +93,16 @@ class TestBuild:
             for n in range(len(row)):
                 assert successor[f"{family.value}{n}"] == f"{family.value}{(n + 1) % len(row)}"
 
+    def test_every_call_builds_a_new_graph(self):
+        # equal values, but nothing is shared or cached between calls
+        first, second = build_chord_graph(), build_chord_graph()
+        assert first == second
+        assert first is not second
+        assert first._by_id == second._by_id
+        assert first._by_id is not second._by_id
+        assert first.nodes[0] is not second.nodes[0]
+        assert first.edges[0] is not second.edges[0]
+
 
 class TestComponents:
     def test_dd_forms_its_own_component(self, graph_with_dd):
@@ -118,6 +129,14 @@ class TestComponents:
         upper, lower = connected_components(graph)
         assert {chord_to_partition(n.chord) for n in upper} == {(1, 3, 4, 4)}
         assert {chord_to_partition(n.chord) for n in lower} == {(2, 3, 3, 4)}
+
+    @pytest.mark.parametrize("node_order", [1, -1], ids=["built", "reversed"])
+    def test_members_come_in_family_then_inversion_order(self, graph_with_dd, node_order):
+        shuffled = ChordGraph(graph_with_dd.nodes[::node_order], graph_with_dd.edges)
+        upper, lower, dd = connected_components(shuffled)
+        assert [n.id for n in upper] == [f"{f}{n}" for f in ("MM", "mM", "AM") for n in range(4)]
+        assert [n.id for n in lower] == [f"{f}{n}" for f in ("Mm", "dm", "mm") for n in range(4)]
+        assert [n.id for n in dd] == ["dd0"]
 
     @pytest.mark.parametrize("dropped", ["mm0", "MM0", "dm3"])
     def test_an_edge_to_a_missing_node_is_a_value_error(self, graph, dropped):
@@ -252,3 +271,50 @@ class TestJsonExport:
 
     def test_deterministic(self, graph):
         assert export_json(graph) == export_json(build_chord_graph(include_dd=False))
+
+
+def _json_dumps_export(graph):
+    """The document export_json describes, encoded by json.dumps."""
+    document = {
+        "nodes": [
+            {
+                "id": node.id,
+                "chord": list(node.chord),
+                "family": node.label.family.value,
+                "inversion": node.label.inversion,
+            }
+            for node in graph.nodes
+        ],
+        "edges": [
+            {"from": edge.source, "to": edge.target, "op": edge.op.value}
+            for edge in graph.edges
+        ],
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonExportIsJsonDumps:
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_built_graphs(self, include_dd):
+        graph = build_chord_graph(include_dd=include_dd)
+        assert export_json(graph) == _json_dumps_export(graph)
+
+    def test_nodes_without_edges(self, graph):
+        bare = ChordGraph(graph.nodes, ())
+        text = export_json(bare)
+        assert text == _json_dumps_export(bare)
+        assert '"edges": [],' in text
+
+    def test_empty_graph(self):
+        text = export_json(ChordGraph((), ()))
+        assert text == _json_dumps_export(ChordGraph((), ()))
+        assert text == '{\n  "edges": [],\n  "nodes": []\n}\n'
+
+    def test_strings_are_ascii_escaped_and_an_empty_chord_is_an_empty_array(self):
+        node = GraphNode((), ChordLabel(TriadFamily.MAJOR, 0))
+        edge = GraphEdge('a "quoted"\\path', "\u00e9\t\U0001d11e", Operator.DUALITY)
+        graph = ChordGraph((node,), (edge,))
+        text = export_json(graph)
+        assert text == _json_dumps_export(graph)
+        assert text.isascii()
+        assert '"chord": [],' in text

@@ -87,3 +87,9 @@ def test_derived_values_survive_a_round_trip():
     graph = pickle.loads(pickle.dumps(build_chord_graph(include_dd=True)))
     assert graph.node("dd0").id == "dd0"
     assert str(graph.node("MM3").label) == "MM3"
+
+
+@pytest.mark.parametrize("values", [("MM0", "MM1"), ("MM0", "MM1", Operator.DUALITY, None)])
+def test_a_constructor_sets_every_slot_exactly_once(values):
+    with pytest.raises(TypeError, match=rf"GraphEdge has 3 slots, got {len(values)} values"):
+        GraphEdge("MM0", "MM1", Operator.INVERSION)._init(*values)
