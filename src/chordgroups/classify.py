@@ -23,7 +23,14 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from .core import Chord, InvalidChordError, Record, WrongArityError, chord_to_partition
+from .core import (
+    Chord,
+    InvalidChordError,
+    Record,
+    WrongArityError,
+    chord_row,
+    chord_to_partition,
+)
 from .transform import dual, invert
 
 
@@ -145,9 +152,10 @@ def classify(chord: Chord) -> ChordLabel | None:
 
     Asking about a non-harmonic chord is a legitimate query, so that case
     is a return value, not an error; sizes other than 3 and 4 raise
-    WrongArityError.  A value that is not a chord tuple and cannot be looked
-    up raises InvalidChordError: a list of three or four tones, or a value
-    with no length.
+    WrongArityError.  Any other value that is not a chord raises
+    InvalidChordError: a list, a value with no length, a tuple that is not
+    a chord, or one equal to a chord whose tones are not all ints, such as
+    ``(0, 4, 7.0)``.
 
     >>> str(classify((0, 3, 8)))
     'Major1'
@@ -159,9 +167,9 @@ def classify(chord: Chord) -> ChordLabel | None:
             raise WrongArityError(
                 f"classification covers three- and four-tone chords, got {len(chord)} tones"
             )
-        return _LABELS.get(chord)
     except TypeError:
         raise InvalidChordError(f"a chord is a tuple of ints, got {chord!r}") from None
+    return _LABELS.get(chord_row(chord)[0])
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:

@@ -14,8 +14,11 @@ gives a *partition* of 12:
 
 Chords, compositions and partitions are all plain tuples of ints, so they
 hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
-``make_partition`` are the validating constructors; everything downstream
-assumes already-validated values.
+``make_partition`` are the validating constructors.  The chord table
+(``CHORD_TABLES``) holds one row per chord of each size, and ``chord_row``
+is the one chord validation: ``make_chord``, ``parse_chord``, the operators
+and ``classify`` all go through it.  Only the converters between chords,
+compositions, partitions and text assume already-validated values.
 
 ``Record`` is the base of the package's few immutable value classes
 (``ChordLabel`` and the graph's nodes, edges and graph).
@@ -116,7 +119,7 @@ class WrongArityError(ValueError):
 
 
 def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
-    """The validating constructors' one int rule: ``type(value) is int``.
+    """The validating constructors' int rule: ``type(value) is int``.
 
     Bools, floats and other numbers are rejected, never converted.
     """
@@ -125,8 +128,64 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
             raise error(f"{what} {value!r} is not an int")
 
 
+class _ChordTables(dict):
+    """Chord size -> ``{chord: row}`` over every chord of that size, built on first use.
+
+    A row is ``[chord, i, d, a]``, and ``transform`` fills each operator's
+    slot on first use with the row of the chord's image, so each chord
+    tuple exists once and a walk from row to row hashes nothing.  A size
+    outside 1..12 has an empty table.  Sizes are built one at a time, on
+    first lookup, so that a caller pays only for the sizes it uses.
+    """
+
+    def __missing__(self, k: int) -> dict[Chord, list]:
+        if not 1 <= k <= OCTAVE:
+            return {}
+        chords = [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
+        table = {chord: [chord, None, None, None] for chord in chords}
+        return self.setdefault(k, table)  # two threads building k keep one table
+
+
+CHORD_TABLES = _ChordTables()
+
+
+def chord_row(chord: Chord) -> list:
+    """The chord table's row for a valid chord; ``row[0]`` is the table's own tuple.
+
+    Anything else raises InvalidChordError: a list or a value without a
+    length, and every tuple that ``make_chord`` rejects, with its subclass
+    and message.
+    """
+    try:
+        row = CHORD_TABLES[len(chord)][chord]
+    except (KeyError, TypeError):  # a miss, no length, or an unhashable tone
+        raise _rejection(chord) from None
+    if row[0] is not chord:
+        # (0, 4, 7.0) and (False, 4, 7) hash and compare equal to (0, 4, 7)
+        _require_ints(chord, InvalidChordError, "tone")
+    return row
+
+
+def _rejection(value: object) -> InvalidChordError:
+    """Why a value that is not in the chord table is not a chord."""
+    if not isinstance(value, tuple):
+        return InvalidChordError(f"a chord is a tuple of ints, got {value!r}")
+    if not value:
+        return EmptyChordError("a chord needs at least one tone")
+    for tone in value:
+        if type(tone) is not int:
+            return InvalidChordError(f"tone {tone!r} is not an int")
+    for tone in value:
+        if not 0 <= tone < OCTAVE:
+            return ToneOutOfRangeError(f"tone {tone} is outside 0..11")
+    if value[0] != 0:
+        return FirstToneNotZeroError(f"a chord starts at 0, got {value[0]}")
+    # the table holds every strictly increasing tuple of ints in 0..11 from 0
+    return NotStrictlyIncreasingError(f"tones must strictly increase: {value}")
+
+
 def make_chord(tones: Iterable[int]) -> Chord:
-    """Validate a tone sequence as a chord.
+    """Validate a tone sequence as a chord; returns the chord table's own tuple.
 
     A valid chord of ``int`` tones (bools excluded) starts at 0, is
     strictly increasing, and stays within 0..11.  Inputs not rooted at 0 are rejected, not transposed; see
@@ -135,18 +194,7 @@ def make_chord(tones: Iterable[int]) -> Chord:
     >>> make_chord([0, 4, 7])
     (0, 4, 7)
     """
-    chord = tuple(tones)
-    if not chord:
-        raise EmptyChordError("a chord needs at least one tone")
-    _require_ints(chord, InvalidChordError, "tone")
-    for tone in chord:
-        if not 0 <= tone < OCTAVE:
-            raise ToneOutOfRangeError(f"tone {tone} is outside 0..11")
-    if chord[0] != 0:
-        raise FirstToneNotZeroError(f"a chord starts at 0, got {chord[0]}")
-    if any(a >= b for a, b in zip(chord, chord[1:])):
-        raise NotStrictlyIncreasingError(f"tones must strictly increase: {chord}")
-    return chord
+    return chord_row(tuple(tones))[0]
 
 
 def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
@@ -184,6 +232,9 @@ def make_partition(parts: Iterable[int]) -> Partition:
 def chord_to_composition(chord: Chord) -> Composition:
     """The chord's gap sequence, ending with the wrap-around to the octave.
 
+    Assumes a validated chord, as the converters below do too: nothing is
+    checked but emptiness, so ``(0, 4, 4)`` gives ``(4, 0, 8)``.
+
     >>> chord_to_composition((0, 4, 7, 11))
     (4, 3, 4, 1)
     >>> chord_to_composition((0,))
@@ -199,6 +250,8 @@ def chord_to_composition(chord: Chord) -> Composition:
 def chord_to_partition(chord: Chord) -> Partition:
     """The chord's gap multiset, sorted ascending; EmptyChordError for ``()``.
 
+    Assumes a validated chord: ``(0, 4, 4)`` gives ``(0, 4, 8)``.
+
     >>> chord_to_partition((0, 3, 8))
     (3, 4, 5)
     """
@@ -209,7 +262,7 @@ def composition_to_chord(comp: Composition) -> Chord:
     """Rebuild the unique chord whose gap sequence is ``comp``.
 
     Inverse of :func:`chord_to_composition`; the tones are the prefix sums
-    of the parts.
+    of the parts.  Assumes a validated composition.
 
     >>> composition_to_chord((3, 5, 4))
     (0, 3, 8)
@@ -218,10 +271,14 @@ def composition_to_chord(comp: Composition) -> Chord:
 
 
 def enumerate_chords(k: int) -> list[Chord]:
-    """All k-tone chords, lexicographically: 0 plus each (k-1)-subset of 1..11."""
-    if not 1 <= k <= OCTAVE:
+    """All k-tone chords, lexicographically: 0 plus each (k-1)-subset of 1..11.
+
+    The chords are the chord table's own tuples.  A size that is not an
+    int raises InvalidSizeError too: ``4.0`` would find the table of 4.
+    """
+    if type(k) is not int or not 1 <= k <= OCTAVE:
         raise InvalidSizeError(f"chord size must be within 1..12, got {k}")
-    return [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
+    return list(CHORD_TABLES[k])
 
 
 def enumerate_partitions(k: int) -> list[Partition]:
@@ -299,7 +356,7 @@ def parse_chord(text: str) -> Chord:
 
 
 def format_chord(chord: Chord) -> str:
-    """Render a chord in the bare comma form, e.g. ``"0,4,7"``."""
+    """Render a validated chord in the bare comma form, e.g. ``"0,4,7"``."""
     return ",".join(str(tone) for tone in chord)
 
 

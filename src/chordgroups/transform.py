@@ -11,16 +11,17 @@ is the one definition of all three:
 
 A permutation acts on a chord in one pass (``_permute``): the image's
 tones are the prefix sums of the chord's gaps taken in the permuted order.
-``invert``, ``dual`` and ``augdim`` read their permutation from tables
-indexed by chord size, built once from ``gap_permutation``.
 
-Operator words such as ``"iid"`` are applied left to right (pipeline
-order), which is the convention used throughout the CLI.  A word is one
-element of the group that the operators generate on k gaps: ``apply_word``
-composes it in that group's multiplication (Cayley) table, one lookup per
-letter, and permutes the chord once.  ``orbit`` closes the generators into
-that group by breadth-first search over products, then applies each
-element once.
+The operators permute a finite set, 2048 chords in all, so each action is
+one step in ``core``'s chord table, which holds one row ``[chord, i, d,
+a]`` per chord.  ``core.chord_row`` finds a chord's row and raises
+InvalidChordError for anything that is not a chord.  An operator's slot is
+filled on first use, from ``_permute(chord, gap_permutation(op, k))``, with
+the row of the image, whose first item is the table's own tuple for it.
+``invert``, ``dual``, ``augdim`` and ``apply_operator`` are one lookup and
+one slot read.  ``apply_word`` walks the slots letter by letter, left to
+right (pipeline order, the convention used throughout the CLI), and
+``orbit`` is a breadth-first closure over the slots of its generators.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterable
 
-from .core import OCTAVE, Chord, WrongArityError
+from .core import CHORD_TABLES, OCTAVE, Chord, WrongArityError, chord_row
 
 
 class Operator(Enum):
@@ -45,8 +46,6 @@ class Operator(Enum):
 
 
 Word = tuple[Operator, ...]
-
-_LETTERS = {op.value: op for op in Operator}
 
 
 @cache
@@ -75,25 +74,33 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
     return tuple(image)
 
 
-# gap_permutation's i and d on k gaps, indexed by k = 0..12, and a on four,
-# so that the single operators find their permutation without hashing an
-# Operator.  Larger tuples fall back to gap_permutation itself.
-_ROTATE_LEFT = tuple([gap_permutation(Operator.INVERSION, k) for k in range(OCTAVE + 1)])
-_REVERSE = tuple([gap_permutation(Operator.DUALITY, k) for k in range(OCTAVE + 1)])
-_MIDDLE_SWAP = gap_permutation(Operator.AUGDIM, 4)
-# Reading a member off an Enum class costs about as much as hashing it.
-_INVERSION, _DUALITY, _AUGDIM = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
+# A chord's table row is [chord, i, d, a]: slot n holds the row of the
+# image under _OPERATORS[n], once filled.
+_OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
+_SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}
+_LETTER_SLOT = {letter: n for op, n in _SLOT.items() for letter in (op.value, op.value.upper())}
+
+
+def _slot(op: Operator) -> int:
+    try:
+        return _SLOT[op]
+    except (KeyError, TypeError):  # TypeError: an unhashable op
+        raise ValueError(f"not an operator: {op!r}") from None
+
+
+def _fill(row: list, slot: int) -> list:
+    """Fill an empty slot with the image's row; WrongArityError for ``a`` unless four tones."""
+    chord = row[0]
+    k = len(chord)
+    row[slot] = image = CHORD_TABLES[k][_permute(chord, gap_permutation(_OPERATORS[slot], k))]
+    return image
 
 
 def apply_operator(op: Operator, chord: Chord) -> Chord:
     """``op`` applied to ``chord``; ValueError if ``op`` is not an Operator."""
-    if op is _INVERSION:
-        return invert(chord)
-    if op is _DUALITY:
-        return dual(chord)
-    if op is _AUGDIM:
-        return augdim(chord)
-    return _permute(chord, gap_permutation(op, len(chord)))  # raises: not an operator
+    row = chord_row(chord)
+    slot = _slot(op)
+    return (row[slot] or _fill(row, slot))[0]
 
 
 def invert(chord: Chord) -> Chord:
@@ -102,10 +109,8 @@ def invert(chord: Chord) -> Chord:
     >>> invert((0, 4, 7))
     (0, 3, 8)
     """
-    k = len(chord)
-    return _permute(
-        chord, _ROTATE_LEFT[k] if k <= OCTAVE else gap_permutation(Operator.INVERSION, k)
-    )
+    row = chord_row(chord)
+    return (row[1] or _fill(row, 1))[0]
 
 
 def dual(chord: Chord) -> Chord:
@@ -114,8 +119,8 @@ def dual(chord: Chord) -> Chord:
     >>> dual((0, 4, 7))
     (0, 5, 8)
     """
-    k = len(chord)
-    return _permute(chord, _REVERSE[k] if k <= OCTAVE else gap_permutation(Operator.DUALITY, k))
+    row = chord_row(chord)
+    return (row[2] or _fill(row, 2))[0]
 
 
 def augdim(chord: Chord) -> Chord:
@@ -124,16 +129,20 @@ def augdim(chord: Chord) -> Chord:
     >>> augdim((0, 4, 7, 11))
     (0, 4, 8, 11)
     """
-    k = len(chord)
-    return _permute(chord, _MIDDLE_SWAP if k == 4 else gap_permutation(Operator.AUGDIM, k))
+    row = chord_row(chord)
+    return (row[3] or _fill(row, 3))[0]
+
+
+def _word_slots(text: str) -> list[int]:
+    try:
+        return [_LETTER_SLOT[letter] for letter in text]
+    except KeyError:
+        raise ValueError(f"operator word may only contain i, d, a: {text!r}") from None
 
 
 def parse_word(text: str) -> Word:
     """Parse an operator word like ``"iid"`` (case-insensitive; empty = identity)."""
-    try:
-        return tuple([_LETTERS[char] for char in text.lower()])
-    except KeyError:
-        raise ValueError(f"operator word may only contain i, d, a: {text!r}") from None
+    return tuple([_OPERATORS[slot] for slot in _word_slots(text)])
 
 
 def parse_generators(text: str) -> Word:
@@ -141,7 +150,7 @@ def parse_generators(text: str) -> Word:
     if not text.strip():
         return ()
     try:
-        symbols = [_LETTERS[token.strip().lower()] for token in text.split(",")]
+        symbols = [_OPERATORS[_LETTER_SLOT[token.strip()]] for token in text.split(",")]
     except KeyError:
         raise ValueError(f"generators must be a comma list over i, d, a: {text!r}") from None
     return tuple(dict.fromkeys(symbols))
@@ -153,57 +162,30 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     >>> apply_word("dd", (0, 4, 7, 10))
     (0, 4, 7, 10)
     """
-    word = parse_word(word) if isinstance(word, str) else tuple(word)
-    if not word:
-        return chord
-    elements, steps = _word_table(len(chord))
-    element = 0
-    try:
-        for op in word:
-            element = steps[op][element]
-    except KeyError:
-        gap_permutation(op, len(chord))  # raises the error for an op outside the table
-        raise
-    return _permute(chord, elements[element])
-
-
-@cache
-def _word_table(k: int) -> tuple[tuple[tuple[int, ...], ...], dict[Operator, tuple[int, ...]]]:
-    """The group that the operators valid on k gaps generate, as a multiplication table.
-
-    ``elements`` lists its gap permutations, the identity first, and
-    ``steps[op][n]`` is the index of element n, then ``op``.
-    """
-    ops = [op for op in Operator if k == 4 or op is not Operator.AUGDIM]
-    elements = tuple(sorted(_group(frozenset(ops), k)))  # the identity sorts first
-    index = {perm: n for n, perm in enumerate(elements)}
-    steps = {}
-    for op in ops:
-        step = gap_permutation(op, k)
-        steps[op] = tuple(index[tuple(perm[j] for j in step)] for perm in elements)
-    return elements, steps
-
-
-@cache
-def _group(generators: frozenset[Operator], k: int) -> frozenset[tuple[int, ...]]:
-    """The gap permutations of k-tone chords that the generators span."""
-    steps = [gap_permutation(op, k) for op in generators]
-    group = frontier = frozenset([tuple(range(k))])
-    while frontier:
-        # each product is a member of the frontier, then a generator
-        frontier = {tuple(perm[j] for j in step) for perm in frontier for step in steps} - group
-        group |= frontier
-    return group
+    slots = _word_slots(word) if isinstance(word, str) else map(_slot, word)
+    row = start = chord_row(chord)
+    for slot in slots:
+        row = row[slot] or _fill(row, slot)
+    return chord if row is start else row[0]  # a word that fixes the chord returns it
 
 
 def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     """Closure of a chord under the generators, as a sorted list.
 
-    Its images under the group of gap permutations the generators span.
     Raises WrongArityError if AUGDIM is among the generators and the chord
     is not four-tone.
 
     >>> orbit((0, 4, 7), [Operator.INVERSION])
     [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
     """
-    return sorted({_permute(chord, perm) for perm in _group(frozenset(generators), len(chord))})
+    row = chord_row(chord)
+    slots = [_slot(op) for op in generators]
+    members = {row[0]}
+    queue = [row]
+    for row in queue:  # breadth first: the loop reaches rows appended while it runs
+        for slot in slots:
+            image = row[slot] or _fill(row, slot)
+            if image[0] not in members:
+                members.add(image[0])
+                queue.append(image)
+    return sorted(members)

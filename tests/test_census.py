@@ -3,7 +3,9 @@
 The ``<i>``-orbits of k-tone chords are the transposition classes of k-note
 pitch-class sets, counted by Burnside's lemma as necklaces; the ``<i,d>``-
 orbits are Forte's set classes (Forte, *The Structure of Atonal Music*,
-1973).  Neither count comes from the library.
+1973).  Neither count comes from the library.  The orbit-stabilizer checks
+close the generators' gap permutations into a group here (``_group``), so
+they share no code with ``orbit``, which walks the library's chord table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import chain, combinations
 from math import comb, gcd
 
 from chordgroups.core import enumerate_chords
-from chordgroups.transform import Operator, _group, orbit
+from chordgroups.transform import Operator, gap_permutation, orbit
 
 from conftest import gaps
 
@@ -23,6 +25,17 @@ SIZES = range(1, 13)
 # 12 trichords, 29 tetrachords, 38 pentachords and 50 hexachords mirror
 # for k = 7..9).
 FORTE_SET_CLASSES = [1, 6, 12, 29, 38, 50, 38, 29, 12, 6, 1, 1]
+
+
+def _group(generators, k):
+    """The gap permutations of k-tone chords that the generators span."""
+    steps = [gap_permutation(op, k) for op in generators]
+    group = frontier = frozenset([tuple(range(k))])
+    while frontier:
+        # each product is a member of the frontier, then a generator
+        frontier = {tuple(perm[j] for j in step) for perm in frontier for step in steps} - group
+        group |= frontier
+    return group
 
 
 def _necklaces(k):
@@ -61,7 +74,7 @@ def test_inversion_duality_orbits_are_the_set_classes():
 
 
 def test_group_orders():
-    # the word table's group: dihedral of order 2k, and all 24 orderings of four gaps
+    # the operators' group: dihedral of order 2k, and all 24 orderings of four gaps
     for k in SIZES:
         assert len(_group(frozenset([I, D]), k)) == (2 * k if k >= 3 else k)
     assert len(_group(frozenset([I, D, A]), 4)) == 24

@@ -177,6 +177,12 @@ class TestClassify:
             classify(chord)
         assert excinfo.value.__suppress_context__  # no stray TypeError in the traceback
 
+    @pytest.mark.parametrize("chord", [(0, 4, 7.0), (False, 4, 7), "047"], ids=repr)
+    def test_a_value_only_equal_to_a_chord_or_sized_like_one_is_invalid(self, chord):
+        # (0, 4, 7.0) and (False, 4, 7) hash and compare equal to (0, 4, 7)
+        with pytest.raises(InvalidChordError):
+            classify(chord)
+
     def test_a_list_of_the_wrong_size_is_still_an_arity_error(self):
         with pytest.raises(WrongArityError):
             classify([0, 4])

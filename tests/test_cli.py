@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordgroups import verify
+from chordgroups.cli import main
 
 from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS
 
@@ -226,3 +232,35 @@ class TestUsage:
 
     def test_unknown_command_is_a_usage_error(self, invoke):
         assert invoke("transmogrify")[0] == 2
+
+
+# Words the parser knows, chord texts valid and not, and free text.
+ARGV_TOKENS = (
+    "apply", "orbit", "classify", "partition", "enumerate", "graph", "verify",
+    "i", "d", "a", "iddaid", "i,d", "i,d,a", "x", "0,4,7", "0,4,7,11", "(0,4,7)",
+    "0,13", "0,4,4", "5,7", "0,1_1", "", "--ordered", "--tones", "--harmonic",
+    "--format", "dot", "json", "--include-dd", "--output", "-h", "3", "12", "13", "-1",
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ARGV_TOKENS), st.text(max_size=6)), max_size=5))
+def test_any_argv_ends_with_a_contract_exit_code(scratch_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(scratch_dir)  # where "graph --output" writes
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and -h
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -183,6 +183,12 @@ class TestEnumeration:
         with pytest.raises(InvalidSizeError):
             enumerate_partitions(k)
 
+    @pytest.mark.parametrize("k", [4.0, "4", True], ids=repr)
+    def test_a_chord_size_that_is_not_an_int_is_invalid(self, k):
+        # 4.0 and True hash and compare equal to sizes of the chord table
+        with pytest.raises(InvalidSizeError):
+            enumerate_chords(k)
+
     def test_partitions_of_length_three_without_small_parts(self):
         heavy = [p for p in enumerate_partitions(3) if min(p) >= 3]
         assert heavy == [(3, 3, 6), (3, 4, 5), (4, 4, 4)]

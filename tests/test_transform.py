@@ -7,15 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chordgroups.core import (
+    InvalidChordError,
     WrongArityError,
     chord_to_partition,
     enumerate_chords,
+    make_chord,
 )
 from chordgroups.transform import (
     Operator,
-    _group,
     _permute,
-    _word_table,
     apply_operator,
     apply_word,
     augdim,
@@ -55,6 +55,7 @@ def _augdim_by_tones(chord):
 
 
 ORACLES = {I: _invert_by_tones, D: _dual_by_tones, A: _augdim_by_tones}
+SINGLE = {I: invert, D: dual, A: augdim}
 CHORDS = [chord for k in range(1, 7) for chord in enumerate_chords(k)]
 EVERY_CHORD = [chord for k in range(1, 13) for chord in enumerate_chords(k)]
 
@@ -175,16 +176,19 @@ class TestGapActions:
                 gap_permutation(A, k)
 
     @pytest.mark.parametrize("k", range(1, 13))
-    def test_word_table_is_the_group_multiplication(self, k):
-        elements, steps = _word_table(k)
-        assert elements[0] == tuple(range(k))
-        assert set(steps) == ({I, D, A} if k == 4 else {I, D})
-        assert set(elements) == _group(frozenset(steps), k)
-        for op, row in steps.items():
-            step = gap_permutation(op, k)
-            assert [elements[n] for n in row] == [
-                tuple(perm[j] for j in step) for perm in elements
-            ]
+    def test_slots_are_the_gap_permutations(self, k):
+        # each chord as the table's own tuple and as a fresh equal tuple, which
+        # takes the int pass; every image is the table's own tuple too
+        for chord in enumerate_chords(k):
+            key, fresh = make_chord(chord), (*chord,)
+            assert fresh == key and fresh is not key
+            for op in _operators_on(chord):
+                expected = _permute(chord, gap_permutation(op, k))
+                for argument in (key, fresh):
+                    image = apply_operator(op, argument)
+                    assert image == expected
+                    assert image is make_chord(expected)
+                    assert SINGLE[op](argument) is image
 
     def test_operators_preserve_the_partition(self):
         for chord in enumerate_chords(4):
@@ -200,13 +204,11 @@ class TestGapActions:
 class TestSingleOperators:
     """``invert``, ``dual``, ``augdim`` and ``apply_operator`` read per-size tables."""
 
-    SINGLE = {I: invert, D: dual, A: augdim}
-
     def test_match_the_tone_formulas_on_every_chord(self):
         # sizes 7..12 too, which verify never reaches
         for chord in EVERY_CHORD:
             for op in _operators_on(chord):
-                assert self.SINGLE[op](chord) == ORACLES[op](chord)
+                assert SINGLE[op](chord) == ORACLES[op](chord)
                 assert apply_operator(op, chord) == ORACLES[op](chord)
 
     @staticmethod
@@ -220,14 +222,22 @@ class TestSingleOperators:
         "chord", [(), (0,), (0, 4, 7), tuple(range(12)), tuple(range(13)), tuple(range(14))]
     )
     def test_at_the_table_edges_they_act_as_gap_permutation_does(self, chord):
-        for op, single in self.SINGLE.items():
-            expected = self._outcome(lambda: _permute(chord, gap_permutation(op, len(chord))))
+        # on a chord, gap_permutation's image or error; (), 13 and 14 tones are
+        # not chords, so every operator raises what make_chord raises for them
+        is_chord = 1 <= len(chord) <= 12
+        for op, single in SINGLE.items():
+            if is_chord:
+                expected = self._outcome(lambda: _permute(chord, gap_permutation(op, len(chord))))
+            else:
+                expected = self._outcome(lambda: make_chord(chord))
+                assert issubclass(expected[0], InvalidChordError)
             assert self._outcome(lambda: single(chord)) == expected
             assert self._outcome(lambda: apply_operator(op, chord)) == expected
-        assert self._outcome(lambda: augdim(chord)) == (
-            WrongArityError,
-            f"augmented-diminished duality needs a four-tone chord, got {len(chord)} tones",
-        )
+        if is_chord:
+            assert self._outcome(lambda: augdim(chord)) == (
+                WrongArityError,
+                f"augmented-diminished duality needs a four-tone chord, got {len(chord)} tones",
+            )
 
     @pytest.mark.parametrize("bad", ["i", None])
     def test_apply_operator_rejects_a_non_operator(self, bad):
@@ -336,7 +346,8 @@ class TestOrbits:
         assert len(seen) == 12
 
     def test_orbits_match_a_tone_formula_closure(self):
-        for chord in CHORDS:
+        # every size 1..12, so each size's table is walked
+        for chord in EVERY_CHORD:
             for generators in powerset(_operators_on(chord)):
                 assert orbit(chord, generators) == _closure_by_tones(chord, generators)
 
@@ -357,3 +368,25 @@ class TestOrbits:
         for member in members:
             for op in (invert, dual, augdim):
                 assert op(member) in members
+
+
+# Each call but the last returned a silently wrong value or raised a stray
+# TypeError before the operators validated their chord through the chord
+# table; a list is no chord tuple to them, as to classify.
+NON_CHORD_CALLS = {
+    "invert((0, 13))": lambda: invert((0, 13)),
+    "orbit((0, 13), [I])": lambda: orbit((0, 13), [I]),
+    "apply_word('i', (0, 4, 4))": lambda: apply_word("i", (0, 4, 4)),
+    "apply_word('ii', (5, 7))": lambda: apply_word("ii", (5, 7)),
+    "dual(())": lambda: dual(()),
+    "invert(())": lambda: invert(()),
+    "orbit((), [D])": lambda: orbit((), [D]),
+    "augdim((0, 1, 2, 'x'))": lambda: augdim((0, 1, 2, "x")),
+    "invert([0, 4, 7])": lambda: invert([0, 4, 7]),
+}
+
+
+@pytest.mark.parametrize("call", NON_CHORD_CALLS)
+def test_a_non_chord_is_invalid(call):
+    with pytest.raises(InvalidChordError):
+        NON_CHORD_CALLS[call]()
