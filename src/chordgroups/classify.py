@@ -11,11 +11,6 @@ chords across 7 families.
 ``family_row`` is the one inversion walk, and the one label table maps
 each chord of every row to its family and position, so reproducing the
 published tables is a meaningful check rather than a tautology.
-
-``ChordLabel`` is a ``core.Record``, not a dataclass or a NamedTuple: the
-one-shot CLI commands import this module, importing ``dataclasses`` pulls
-in ``inspect`` and ``ast``, and a label must never compare equal to a
-plain tuple.
 """
 
 from __future__ import annotations
@@ -92,7 +87,9 @@ class ChordLabel(Record):
     inversion: int
 
     def __init__(self, family: Family, inversion: int) -> None:
-        self._init(family, inversion, f"{family.value}{inversion}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "inversion", inversion)
+        object.__setattr__(self, "_text", f"{family.value}{inversion}")
 
     def __str__(self) -> str:
         return self._text
@@ -119,12 +116,12 @@ def is_harmonic_seventh(chord: Chord) -> bool:
 
 
 def family_row(family: Family) -> tuple[Chord, ...]:
-    """The inversion orbit of the family's root, in inversion order.
+    """The inversion orbit of the family's root, in inversion order, as table tuples.
 
     Augmented triads and dd sevenths are inversion-stable, so their row has
     a single entry; every other family fills a full cycle.
     """
-    row = [ROOT_CHORDS[family]]
+    row = [chord_row(ROOT_CHORDS[family])[0]]
     while (image := invert(row[-1])) != row[0]:
         row.append(image)
     return tuple(row)

@@ -19,9 +19,6 @@ hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 is the one chord validation: ``make_chord``, ``parse_chord``, the operators
 and ``classify`` all go through it.  Only the converters between chords,
 compositions, partitions and text assume already-validated values.
-
-``Record`` is the base of the package's few immutable value classes
-(``ChordLabel`` and the graph's nodes, edges and graph).
 """
 
 from __future__ import annotations
@@ -41,29 +38,19 @@ class Record:
 
     Equality, hashing and ``repr`` read those fields exactly as a frozen
     dataclass does: equal only to an instance of the same class, hashed as
-    the tuple of field values, shown as ``Name(field=value, ...)``.  Any
-    slot after the fields holds a value derived from them at construction.
-    Pickling and copying rebuild the value through the constructor.
+    the tuple of field values, shown as ``Name(field=value, ...)``.  Each
+    subclass's ``__init__`` sets every slot once with ``object.__setattr__``,
+    fields first, then any value derived from them.  Pickling and copying
+    rebuild the value through the constructor.
+
+    ``ChordLabel`` and the graph's values are not dataclasses, whose import
+    pulls ``inspect`` and ``ast`` into every one-shot CLI command.  Nor are
+    they tuples (NamedTuples included), which equal plain tuples, iterate,
+    have a length and an order, and leave a derived value no slot.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    _setters: tuple = ()
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        # Each slot's own descriptor sets it, bypassing the __setattr__ below
-        # without the by-name lookup that object.__setattr__ does per call.
-        cls._setters = tuple([vars(cls)[name].__set__ for name in cls.__slots__])
-
-    def _init(self, *values: object) -> None:
-        """Set every slot, fields first, once; only constructors call this."""
-        setters = self._setters
-        if len(values) != len(setters):  # as zip(strict=True), whose keyword call costs more
-            name = type(self).__name__
-            raise TypeError(f"{name} has {len(setters)} slots, got {len(values)} values")
-        for setter, value in zip(setters, values):
-            setter(self, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -188,13 +175,18 @@ def make_chord(tones: Iterable[int]) -> Chord:
     """Validate a tone sequence as a chord; returns the chord table's own tuple.
 
     A valid chord of ``int`` tones (bools excluded) starts at 0, is
-    strictly increasing, and stays within 0..11.  Inputs not rooted at 0 are rejected, not transposed; see
-    :func:`normalize_chord` for the lenient variant.
+    strictly increasing, and stays within 0..11.  Anything else raises
+    InvalidChordError: inputs not rooted at 0 are rejected, not transposed
+    (see :func:`normalize_chord`), and so is a value that is not iterable.
 
     >>> make_chord([0, 4, 7])
     (0, 4, 7)
     """
-    return chord_row(tuple(tones))[0]
+    try:
+        chord = tuple(tones)
+    except TypeError:  # not iterable
+        raise _rejection(tones) from None
+    return chord_row(chord)[0]
 
 
 def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
@@ -204,7 +196,10 @@ def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
     sorts, so e.g. ``normalize_chord([7, 11, 2])`` gives ``(0, 5, 9)``.
     Pitch classes that are not ints raise InvalidChordError.
     """
-    values = tuple(pitch_classes)
+    try:
+        values = tuple(pitch_classes)
+    except TypeError:  # not iterable
+        raise _rejection(pitch_classes) from None
     _require_ints(values, InvalidChordError, "pitch class")
     pcs = {p % OCTAVE for p in values}
     if not pcs:
@@ -215,7 +210,10 @@ def normalize_chord(pitch_classes: Iterable[int]) -> Chord:
 
 def make_composition(parts: Iterable[int]) -> Composition:
     """Validate an ordered gap sequence: positive int parts summing to 12."""
-    comp = tuple(parts)
+    try:
+        comp = tuple(parts)
+    except TypeError:  # not iterable
+        raise ValueError(f"parts must be positive integers: {parts!r}") from None
     _require_ints(comp, ValueError, "part")
     if not comp or any(p < 1 for p in comp):
         raise ValueError(f"parts must be positive integers: {comp!r}")
@@ -270,21 +268,21 @@ def composition_to_chord(comp: Composition) -> Chord:
     return (0, *accumulate(comp[:-1]))
 
 
-def enumerate_chords(k: int) -> list[Chord]:
-    """All k-tone chords, lexicographically: 0 plus each (k-1)-subset of 1..11.
-
-    The chords are the chord table's own tuples.  A size that is not an
-    int raises InvalidSizeError too: ``4.0`` would find the table of 4.
-    """
+def _require_size(k: int, what: str) -> None:
+    """The enumerators' size rule: an int in 1..12; ``4.0`` and ``True`` are not sizes."""
     if type(k) is not int or not 1 <= k <= OCTAVE:
-        raise InvalidSizeError(f"chord size must be within 1..12, got {k}")
+        raise InvalidSizeError(f"{what} must be within 1..12, got {k}")
+
+
+def enumerate_chords(k: int) -> list[Chord]:
+    """All k-tone chords (0 plus each (k-1)-subset of 1..11) as table tuples, sorted."""
+    _require_size(k, "chord size")
     return list(CHORD_TABLES[k])
 
 
 def enumerate_partitions(k: int) -> list[Partition]:
     """All partitions of 12 into exactly k parts, each ascending, in lexicographic order."""
-    if not 1 <= k <= OCTAVE:
-        raise InvalidSizeError(f"partition length must be within 1..12, got {k}")
+    _require_size(k, "partition length")
     return list(_partitions_into(OCTAVE, k, 1))
 
 
@@ -302,12 +300,13 @@ def chords_of_partition(partition: Partition) -> list[Chord]:
     """Every chord whose gap multiset is the given partition.
 
     One chord per distinct ordering of the parts; returned in lexicographic
-    order (orderings and their prefix-sum chords sort identically).
+    order (orderings and their prefix-sum chords sort identically).  What
+    ``make_partition`` rejects raises its ValueError.
 
     >>> chords_of_partition((3, 3, 3, 3))
     [(0, 3, 6, 9)]
     """
-    parts = tuple(sorted(partition))
+    parts = make_partition(partition)
     return [composition_to_chord(comp) for comp in _distinct_orderings(parts)]
 
 
@@ -339,11 +338,14 @@ def parse_chord(text: str) -> Chord:
     """Parse chord text like ``"0,4,7"`` (parentheses and spaces tolerated).
 
     Tones are ASCII decimal numbers: the extra forms ``int()`` reads, such
-    as ``"+4"``, ``"1_1"`` or non-ASCII digits, are rejected.
+    as ``"+4"``, ``"1_1"`` or non-ASCII digits, are rejected, as is a non-str.
     """
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
+    try:
+        body = text.strip()
+        if body.startswith("(") and body.endswith(")"):
+            body = body[1:-1]
+    except (AttributeError, TypeError):  # not text: 5, None, b"0,4,7"
+        raise _rejection(text) from None
     if not body.strip():
         raise EmptyChordError("empty chord text")
     if not body.isascii() or "_" in body or "+" in body:

@@ -9,12 +9,6 @@ gap relabelling 1->2, 3->4, 4->3 maps onto each other: it commutes with the
 operators, which permute gap positions.  The relabelling 1->4, 3->2, 4->3
 is a second isomorphism that shifts the inversion index; it is not returned.
 
-The node, edge and graph types are ``core.Record`` values.  They are not
-dataclasses, because importing ``dataclasses`` pulls in ``inspect`` and
-``ast``, and not NamedTuples, which compare equal to plain tuples.  Each
-derived value (a node's id, the graph's id index) is computed once, when
-the value is built.
-
 ``export_json`` writes its two-space, sorted-key layout itself, escaping
 strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
 sort_keys=True) + "\n"``, without the pure-Python encoder that ``indent``
@@ -33,6 +27,7 @@ from .transform import Operator, augdim, dual, invert
 
 _INVERSION, _DUALITY, _AUGDIM = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 _DD = SeventhFamily.dd
+_set = object.__setattr__  # Record forbids assignment; constructors set slots through this
 
 
 class IsomorphismViolationError(Exception):
@@ -50,7 +45,9 @@ class GraphNode(Record):
     id: str
 
     def __init__(self, chord: Chord, label: ChordLabel) -> None:
-        self._init(chord, label, str(label))
+        _set(self, "chord", chord)
+        _set(self, "label", label)
+        _set(self, "id", str(label))
 
 
 class GraphEdge(Record):
@@ -62,7 +59,9 @@ class GraphEdge(Record):
     op: Operator
 
     def __init__(self, source: str, target: str, op: Operator) -> None:
-        self._init(source, target, op)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "op", op)
 
     @property
     def directed(self) -> bool:
@@ -78,7 +77,9 @@ class ChordGraph(Record):
     edges: tuple[GraphEdge, ...]
 
     def __init__(self, nodes: tuple[GraphNode, ...], edges: tuple[GraphEdge, ...]) -> None:
-        self._init(nodes, edges, {node.id: node for node in nodes})
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "_by_id", {node.id: node for node in nodes})
 
     def node(self, node_id: str) -> GraphNode:
         return self._by_id[node_id]

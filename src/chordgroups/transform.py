@@ -9,19 +9,16 @@ is the one definition of all three:
 * augmented-diminished duality ``a`` swaps the two middle gaps; defined on
   four-tone chords only.  ``d`` and ``a`` are involutions.
 
-A permutation acts on a chord in one pass (``_permute``): the image's
-tones are the prefix sums of the chord's gaps taken in the permuted order.
-
 The operators permute a finite set, 2048 chords in all, so each action is
 one step in ``core``'s chord table, which holds one row ``[chord, i, d,
 a]`` per chord.  ``core.chord_row`` finds a chord's row and raises
 InvalidChordError for anything that is not a chord.  An operator's slot is
 filled on first use, from ``_permute(chord, gap_permutation(op, k))``, with
 the row of the image, whose first item is the table's own tuple for it.
-``invert``, ``dual``, ``augdim`` and ``apply_operator`` are one lookup and
-one slot read.  ``apply_word`` walks the slots letter by letter, left to
-right (pipeline order, the convention used throughout the CLI), and
-``orbit`` is a breadth-first closure over the slots of its generators.
+``invert``, ``dual`` and ``augdim`` are one lookup and one slot read.
+``apply_word`` walks the slots letter by letter, left to right (pipeline
+order, the convention used throughout the CLI), and ``orbit`` is a
+breadth-first closure over the slots of its generators.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ def gap_permutation(op: Operator, k: int) -> tuple[int, ...]:
 
 
 def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
-    """The chord whose gap j is gap ``perm[j]`` of ``chord``."""
+    """The chord whose gap j is gap ``perm[j]`` of ``chord``: prefix sums, in one pass."""
     tones = (*chord, OCTAVE)
     image, total = [0], 0
     for p in perm[:-1]:
@@ -94,13 +91,6 @@ def _fill(row: list, slot: int) -> list:
     k = len(chord)
     row[slot] = image = CHORD_TABLES[k][_permute(chord, gap_permutation(_OPERATORS[slot], k))]
     return image
-
-
-def apply_operator(op: Operator, chord: Chord) -> Chord:
-    """``op`` applied to ``chord``; ValueError if ``op`` is not an Operator."""
-    row = chord_row(chord)
-    slot = _slot(op)
-    return (row[slot] or _fill(row, slot))[0]
 
 
 def invert(chord: Chord) -> Chord:
@@ -136,7 +126,7 @@ def augdim(chord: Chord) -> Chord:
 def _word_slots(text: str) -> list[int]:
     try:
         return [_LETTER_SLOT[letter] for letter in text]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: not iterable, or an unhashable item
         raise ValueError(f"operator word may only contain i, d, a: {text!r}") from None
 
 
@@ -147,11 +137,11 @@ def parse_word(text: str) -> Word:
 
 def parse_generators(text: str) -> Word:
     """Parse a comma list of generators like ``"i,d,a"``, deduplicated."""
-    if not text.strip():
-        return ()
     try:
+        if not text.strip():
+            return ()
         symbols = [_OPERATORS[_LETTER_SLOT[token.strip()]] for token in text.split(",")]
-    except KeyError:
+    except (KeyError, AttributeError, TypeError):  # a bad token, or not a str
         raise ValueError(f"generators must be a comma list over i, d, a: {text!r}") from None
     return tuple(dict.fromkeys(symbols))
 
@@ -162,7 +152,10 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     >>> apply_word("dd", (0, 4, 7, 10))
     (0, 4, 7, 10)
     """
-    slots = _word_slots(word) if isinstance(word, str) else map(_slot, word)
+    try:
+        slots = _word_slots(word) if isinstance(word, str) else map(_slot, word)
+    except TypeError:  # not iterable
+        raise ValueError(f"not an operator word: {word!r}") from None
     row = start = chord_row(chord)
     for slot in slots:
         row = row[slot] or _fill(row, slot)
@@ -179,7 +172,10 @@ def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
     """
     row = chord_row(chord)
-    slots = [_slot(op) for op in generators]
+    try:
+        slots = [_slot(op) for op in generators]
+    except TypeError:  # not iterable; _slot turns every bad item into ValueError
+        raise ValueError(f"generators must be a sequence of operators: {generators!r}") from None
     members = {row[0]}
     queue = [row]
     for row in queue:  # breadth first: the loop reaches rows appended while it runs

@@ -23,6 +23,7 @@ from chordgroups.core import (
     WrongArityError,
     chord_to_partition,
     enumerate_chords,
+    make_chord,
 )
 from chordgroups.transform import dual
 from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
@@ -146,6 +147,12 @@ class TestSeventhTable:
         }
         for family, partition in expected.items():
             assert {chord_to_partition(c) for c in family_row(family)} == {partition}
+
+    def test_every_key_is_the_chord_tables_own_tuple(self):
+        # family roots included: their rows start from the table, not the literals
+        for table in (triad_table(), seventh_table()):
+            for chord in table:
+                assert chord is make_chord(chord)
 
 
 class TestClassify:

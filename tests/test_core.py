@@ -188,6 +188,8 @@ class TestEnumeration:
         # 4.0 and True hash and compare equal to sizes of the chord table
         with pytest.raises(InvalidSizeError):
             enumerate_chords(k)
+        with pytest.raises(InvalidSizeError):
+            enumerate_partitions(k)
 
     def test_partitions_of_length_three_without_small_parts(self):
         heavy = [p for p in enumerate_partitions(3) if min(p) >= 3]
@@ -235,6 +237,13 @@ class TestChordsOfPartition:
                 {tuple(accumulate(perm[:-1], initial=0)) for perm in permutations(partition)}
             )
             assert chords_of_partition(partition) == expected
+
+    # each returned chords before the parts were validated as make_partition does
+    @pytest.mark.parametrize("parts", [(5, 5), (), (0, 12), (4, 4, 4.0), (True, 11)], ids=repr)
+    def test_a_value_that_is_not_a_partition_is_rejected(self, parts):
+        with pytest.raises(ValueError) as excinfo:
+            chords_of_partition(parts)
+        assert excinfo.type is ValueError
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_fibers_tile_all_chords_exactly_once(self, k):

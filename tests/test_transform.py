@@ -12,11 +12,14 @@ from chordgroups.core import (
     chord_to_partition,
     enumerate_chords,
     make_chord,
+    make_composition,
+    make_partition,
+    normalize_chord,
+    parse_chord,
 )
 from chordgroups.transform import (
     Operator,
     _permute,
-    apply_operator,
     apply_word,
     augdim,
     dual,
@@ -163,7 +166,7 @@ class TestGapActions:
     def test_operators_act_on_gaps_by_position(self):
         for chord in CHORDS:
             for op in _operators_on(chord):
-                image = apply_operator(op, chord)
+                image = SINGLE[op](chord)
                 assert image == ORACLES[op](chord)
                 assert gaps(image) == [gaps(chord)[p] for p in gap_permutation(op, len(chord))]
 
@@ -185,10 +188,9 @@ class TestGapActions:
             for op in _operators_on(chord):
                 expected = _permute(chord, gap_permutation(op, k))
                 for argument in (key, fresh):
-                    image = apply_operator(op, argument)
+                    image = SINGLE[op](argument)
                     assert image == expected
                     assert image is make_chord(expected)
-                    assert SINGLE[op](argument) is image
 
     def test_operators_preserve_the_partition(self):
         for chord in enumerate_chords(4):
@@ -202,14 +204,13 @@ class TestGapActions:
 
 
 class TestSingleOperators:
-    """``invert``, ``dual``, ``augdim`` and ``apply_operator`` read per-size tables."""
+    """``invert``, ``dual`` and ``augdim`` read per-size tables."""
 
     def test_match_the_tone_formulas_on_every_chord(self):
         # sizes 7..12 too, which verify never reaches
         for chord in EVERY_CHORD:
             for op in _operators_on(chord):
                 assert SINGLE[op](chord) == ORACLES[op](chord)
-                assert apply_operator(op, chord) == ORACLES[op](chord)
 
     @staticmethod
     def _outcome(call):
@@ -232,18 +233,11 @@ class TestSingleOperators:
                 expected = self._outcome(lambda: make_chord(chord))
                 assert issubclass(expected[0], InvalidChordError)
             assert self._outcome(lambda: single(chord)) == expected
-            assert self._outcome(lambda: apply_operator(op, chord)) == expected
         if is_chord:
             assert self._outcome(lambda: augdim(chord)) == (
                 WrongArityError,
                 f"augmented-diminished duality needs a four-tone chord, got {len(chord)} tones",
             )
-
-    @pytest.mark.parametrize("bad", ["i", None])
-    def test_apply_operator_rejects_a_non_operator(self, bad):
-        with pytest.raises(ValueError, match="not an operator") as excinfo:
-            apply_operator(bad, (0, 4, 7))
-        assert excinfo.type is ValueError
 
 
 class TestWords:
@@ -390,3 +384,28 @@ NON_CHORD_CALLS = {
 def test_a_non_chord_is_invalid(call):
     with pytest.raises(InvalidChordError):
         NON_CHORD_CALLS[call]()
+
+
+# Each call raised a stray TypeError or AttributeError on an argument of the
+# wrong kind; the chord constructors now raise InvalidChordError, the rest
+# exactly ValueError.
+WRONG_KIND_CALLS = {
+    "make_chord": (make_chord, InvalidChordError),
+    "parse_chord": (parse_chord, InvalidChordError),
+    "normalize_chord": (normalize_chord, InvalidChordError),
+    "make_composition": (make_composition, ValueError),
+    "make_partition": (make_partition, ValueError),
+    "apply_word": (lambda bad: apply_word(bad, (0, 4, 7)), ValueError),
+    "parse_word": (parse_word, ValueError),
+    "orbit": (lambda bad: orbit((0, 4, 7), bad), ValueError),
+    "parse_generators": (parse_generators, ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", [5, None])
+@pytest.mark.parametrize("call", WRONG_KIND_CALLS)
+def test_an_argument_of_the_wrong_kind_raises_the_documented_error(call, bad):
+    function, error = WRONG_KIND_CALLS[call]
+    with pytest.raises(ValueError) as excinfo:
+        function(bad)
+    assert excinfo.type is error
