@@ -7,10 +7,11 @@ some inversion of exactly one family root, which yields complete label
 tables: 10 labeled triads across 4 families and 25 labeled four-tone
 chords across 7 families.
 
-``ROOT_CHORDS`` holds the 11 family roots; everything else is derived.
-``family_row`` is the one inversion walk, and the one label table maps
-each chord of every row to its family and position, so reproducing the
-published tables is a meaningful check rather than a tautology.
+``ROOT_CHORDS`` holds the 11 family roots, and its order is the one
+statement of family order; everything else is derived.  ``family_row`` is
+the one inversion walk, and one label table per chord size maps each chord
+of every row to its family and position, so reproducing the published
+tables is a meaningful check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Union
 
 from .core import (
     Chord,
-    InvalidChordError,
     Record,
     WrongArityError,
+    _rejection,
     chord_row,
     chord_to_partition,
 )
@@ -97,6 +98,7 @@ class ChordLabel(Record):
 
 def is_harmonic_triad(chord: Chord) -> bool:
     """True when every gap of the three-tone chord is at least 3."""
+    chord = chord_row(chord)[0]
     if len(chord) != 3:
         raise WrongArityError(f"harmonic-triad test needs a three-tone chord, got {len(chord)}")
     return min(chord_to_partition(chord)) >= 3
@@ -109,6 +111,7 @@ def is_harmonic_seventh(chord: Chord) -> bool:
     a major third (4).  Exactly three gap multisets qualify — (1,3,4,4),
     (2,3,3,4) and (3,3,3,3) — for 25 chords in total.
     """
+    chord = chord_row(chord)[0]
     if len(chord) != 4:
         raise WrongArityError(f"harmonic-seventh test needs a four-tone chord, got {len(chord)}")
     parts = chord_to_partition(chord)
@@ -127,21 +130,26 @@ def family_row(family: Family) -> tuple[Chord, ...]:
     return tuple(row)
 
 
-_LABELS: dict[Chord, ChordLabel] = {
-    chord: ChordLabel(family, n)
-    for family in ROOT_CHORDS
-    for n, chord in enumerate(family_row(family))
+# chord size -> chord -> label, each size's rows in ROOT_CHORDS order
+_LABELS: dict[int, dict[Chord, ChordLabel]] = {
+    size: {
+        chord: ChordLabel(family, n)
+        for family, root in ROOT_CHORDS.items()
+        if len(root) == size
+        for n, chord in enumerate(family_row(family))
+    }
+    for size in sorted({len(root) for root in ROOT_CHORDS.values()})
 }
 
 
 def triad_table() -> dict[Chord, ChordLabel]:
-    """Chord -> label for all 10 harmonic triads."""
-    return {chord: label for chord, label in _LABELS.items() if len(chord) == 3}
+    """Chord -> label for all 10 harmonic triads, in family, then inversion order."""
+    return dict(_LABELS[3])
 
 
 def seventh_table() -> dict[Chord, ChordLabel]:
-    """Chord -> label for all 25 harmonic four-tone chords."""
-    return {chord: label for chord, label in _LABELS.items() if len(chord) == 4}
+    """Chord -> label for all 25 harmonic four-tone chords, in family, then inversion order."""
+    return dict(_LABELS[4])
 
 
 def classify(chord: Chord) -> ChordLabel | None:
@@ -160,13 +168,14 @@ def classify(chord: Chord) -> ChordLabel | None:
     True
     """
     try:
-        if len(chord) not in (3, 4):
-            raise WrongArityError(
-                f"classification covers three- and four-tone chords, got {len(chord)} tones"
-            )
+        labels = _LABELS[len(chord)]
+    except KeyError:
+        raise WrongArityError(
+            f"classification covers three- and four-tone chords, got {len(chord)} tones"
+        ) from None
     except TypeError:
-        raise InvalidChordError(f"a chord is a tuple of ints, got {chord!r}") from None
-    return _LABELS.get(chord_row(chord)[0])
+        raise _rejection(chord) from None
+    return labels.get(chord_row(chord)[0])
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:

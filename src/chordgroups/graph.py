@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from .classify import ChordLabel, SeventhFamily, seventh_table
+from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
 from .core import Chord, Record, chord_to_composition
 from .transform import Operator, augdim, dual, invert
 
@@ -85,7 +85,7 @@ class ChordGraph(Record):
         return self._by_id[node_id]
 
 
-_FAMILY_ORDER = {family: index for index, family in enumerate(SeventhFamily)}
+_FAMILY_ORDER = {family: index for index, family in enumerate(ROOT_CHORDS)}
 _OP_ORDER = {op: index for index, op in enumerate(Operator)}
 
 
@@ -98,44 +98,28 @@ def build_chord_graph(include_dd: bool = False) -> ChordGraph:
 
     The dd chord is fixed by all three operators, so by default it is left
     out; with ``include_dd`` it appears as an isolated node with three
-    self-loops.  Edges come grouped by operator (i, d, a), each group
-    sorted by source, then target.
+    self-loops.  Nodes come in the label table's family, then inversion
+    order.  Edges come grouped by operator (i, d, a), each group sorted by
+    source, then target.
     """
-    table = seventh_table()
-    nodes = sorted(
-        (
-            GraphNode(chord, label)
-            for chord, label in table.items()
-            if include_dd or label.family is not _DD
-        ),
-        key=_node_key,
-    )
+    nodes = [
+        GraphNode(chord, label)
+        for chord, label in seventh_table().items()
+        if include_dd or label.family is not _DD
+    ]
     # An involution edge is stored from the endpoint whose key sorts first:
     # case-insensitive first so output order is stable across families like
     # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
     endpoint = {node.chord: (node.id.lower(), node.id) for node in nodes}
-
-    i_pairs: list[tuple[str, str]] = []
-    d_pairs: list[tuple[str, str]] = []
-    a_pairs: list[tuple[str, str]] = []
-    for chord, key in endpoint.items():
-        source = key[1]
-        i_pairs.append((source, endpoint[invert(chord)][1]))
-        image = endpoint[dual(chord)]
-        if key <= image:
-            d_pairs.append((source, image[1]))
-        image = endpoint[augdim(chord)]
-        if key <= image:
-            a_pairs.append((source, image[1]))
-
-    edges = tuple(
-        [
-            GraphEdge(source, target, op)
-            for op, group in ((_INVERSION, i_pairs), (_DUALITY, d_pairs), (_AUGDIM, a_pairs))
-            for source, target in sorted(group)
-        ]
-    )
-    return ChordGraph(tuple(nodes), edges)
+    edges: list[GraphEdge] = []
+    for op, image_of in ((_INVERSION, invert), (_DUALITY, dual), (_AUGDIM, augdim)):
+        pairs = []
+        for chord, key in endpoint.items():
+            image = endpoint[image_of(chord)]
+            if op is _INVERSION or key <= image:
+                pairs.append((key[1], image[1]))
+        edges += [GraphEdge(source, target, op) for source, target in sorted(pairs)]
+    return ChordGraph(tuple(nodes), tuple(edges))
 
 
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
@@ -215,21 +199,18 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
 
 
 _OP_LABEL = {op: op.value for op in Operator}  # Enum's .value is a Python-level property
+_DOT_ATTRS = {
+    _INVERSION: f'label="{_OP_LABEL[_INVERSION]}"',
+    _DUALITY: f'label="{_OP_LABEL[_DUALITY]}", dir=both',
+    _AUGDIM: f'label="{_OP_LABEL[_AUGDIM]}", dir=both, style=dashed',
+}
 
 
 def export_dot(graph: ChordGraph) -> str:
     """Graphviz DOT text: i solid directed, d solid bidirectional, a dashed bidirectional."""
     lines = ["digraph chord_graph {"]
-    for node in graph.nodes:
-        lines.append(f"  {node.id}")
-    for edge in graph.edges:
-        op = edge.op
-        attrs = [f'label="{_OP_LABEL[op]}"']
-        if op is not _INVERSION:
-            attrs.append("dir=both")
-        if op is _AUGDIM:
-            attrs.append("style=dashed")
-        lines.append(f'  {edge.source} -> {edge.target} [{", ".join(attrs)}]')
+    lines += [f"  {node.id}" for node in graph.nodes]
+    lines += [f"  {edge.source} -> {edge.target} [{_DOT_ATTRS[edge.op]}]" for edge in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -125,9 +125,11 @@ def augdim(chord: Chord) -> Chord:
 
 def _word_slots(text: str) -> list[int]:
     try:
-        return [_LETTER_SLOT[letter] for letter in text]
-    except (KeyError, TypeError):  # TypeError: not iterable, or an unhashable item
-        raise ValueError(f"operator word may only contain i, d, a: {text!r}") from None
+        if isinstance(text, str):  # a list of letters is not a word
+            return [_LETTER_SLOT[letter] for letter in text]
+    except KeyError:
+        pass
+    raise ValueError(f"operator word may only contain i, d, a: {text!r}")
 
 
 def parse_word(text: str) -> Word:

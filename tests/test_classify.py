@@ -81,6 +81,20 @@ class TestSeventhPredicate:
             is_harmonic_seventh((0, 4, 7))
 
 
+@pytest.mark.parametrize("predicate", [is_harmonic_triad, is_harmonic_seventh])
+@pytest.mark.parametrize(
+    "value",
+    [(0, 4, 4, 8), (0, 3, 6, 9.0), [0, 4, 7], (5, 8, 12), (0, 4, "x"), 5, None],
+    ids=repr,
+)
+def test_the_harmonic_predicates_reject_a_value_that_is_not_a_chord(predicate, value):
+    with pytest.raises(InvalidChordError) as excinfo:
+        predicate(value)
+    # no stray TypeError in the traceback; (0, 3, 6, 9.0) is rejected outside any handler
+    error = excinfo.value
+    assert error.__context__ is None or error.__suppress_context__
+
+
 class TestTriadTable:
     def test_domain_is_the_predicate_filter(self):
         assert set(triad_table()) == set(_brute_force_harmonic_triads())
@@ -147,6 +161,15 @@ class TestSeventhTable:
         }
         for family, partition in expected.items():
             assert {chord_to_partition(c) for c in family_row(family)} == {partition}
+
+    def test_tables_list_the_reference_rows_in_order(self):
+        assert list(triad_table()) == [c for row in TRIAD_ROWS.values() for c in row]
+        assert list(seventh_table()) == [c for row in SEVENTH_ROWS.values() for c in row]
+
+    def test_a_returned_table_is_a_copy(self):
+        seventh_table().clear()
+        assert str(classify((0, 4, 7, 11))) == "MM0"
+        assert len(seventh_table()) == 25
 
     def test_every_key_is_the_chord_tables_own_tuple(self):
         # family roots included: their rows start from the table, not the literals

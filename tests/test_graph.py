@@ -93,6 +93,12 @@ class TestBuild:
             for n in range(len(row)):
                 assert successor[f"{family.value}{n}"] == f"{family.value}{(n + 1) % len(row)}"
 
+    def test_nodes_come_in_reference_row_order(self, graph_with_dd):
+        expected = [
+            f"{family.value}{n}" for family, row in SEVENTH_ROWS.items() for n in range(len(row))
+        ]
+        assert [n.id for n in graph_with_dd.nodes] == expected
+
     def test_every_call_builds_a_new_graph(self):
         # equal values, but nothing is shared or cached between calls
         first, second = build_chord_graph(), build_chord_graph()

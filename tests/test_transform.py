@@ -268,6 +268,12 @@ class TestWords:
         with pytest.raises(ValueError):
             parse_word("ixd")
 
+    @pytest.mark.parametrize("letters", [["i", "D"], ("i",)], ids=repr)
+    def test_parse_word_rejects_a_sequence_of_letters(self, letters):
+        # a word is text; apply_word already rejects these lists' items as operators
+        with pytest.raises(ValueError, match="operator word may only contain i, d, a"):
+            parse_word(letters)
+
     def test_parse_generators(self):
         assert parse_generators("i,d") == (I, D)
         assert parse_generators(" A , i ") == (A, I)
