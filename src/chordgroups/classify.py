@@ -11,7 +11,9 @@ chords across 7 families.
 statement of family order; everything else is derived.  ``family_row`` is
 the one inversion walk, and one label table per chord size maps each chord
 of every row to its family and position, so reproducing the published
-tables is a meaningful check rather than a tautology.
+tables is a meaningful check rather than a tautology.  Each label is also
+written into its chord's row of ``core``'s chord table, so ``classify``
+validates a chord and finds its label in one lookup.
 """
 
 from __future__ import annotations
@@ -130,15 +132,27 @@ def family_row(family: Family) -> tuple[Chord, ...]:
     return tuple(row)
 
 
-# chord size -> chord -> label, each size's rows in ROOT_CHORDS order
+# The label slot of a chord table row [chord, i, d, a, label].
+_LABEL = 4
+
+
+def _label_table(size: int) -> dict[Chord, ChordLabel]:
+    """Chord -> label over the size's family rows in ROOT_CHORDS order.
+
+    Each label is also written into its chord's table row, where
+    ``classify`` reads it.
+    """
+    labels = {}
+    for family, root in ROOT_CHORDS.items():
+        if len(root) == size:
+            for n, chord in enumerate(family_row(family)):
+                labels[chord] = chord_row(chord)[_LABEL] = ChordLabel(family, n)
+    return labels
+
+
+# chord size -> chord -> label, one table per size of a family root
 _LABELS: dict[int, dict[Chord, ChordLabel]] = {
-    size: {
-        chord: ChordLabel(family, n)
-        for family, root in ROOT_CHORDS.items()
-        if len(root) == size
-        for n, chord in enumerate(family_row(family))
-    }
-    for size in sorted({len(root) for root in ROOT_CHORDS.values()})
+    size: _label_table(size) for size in sorted({len(root) for root in ROOT_CHORDS.values()})
 }
 
 
@@ -168,14 +182,12 @@ def classify(chord: Chord) -> ChordLabel | None:
     True
     """
     try:
-        labels = _LABELS[len(chord)]
-    except KeyError:
-        raise WrongArityError(
-            f"classification covers three- and four-tone chords, got {len(chord)} tones"
-        ) from None
+        k = len(chord)
     except TypeError:
         raise _rejection(chord) from None
-    return labels.get(chord_row(chord)[0])
+    if k not in _LABELS:
+        raise WrongArityError(f"classification covers three- and four-tone chords, got {k} tones")
+    return chord_row(chord)[_LABEL]
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:

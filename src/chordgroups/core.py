@@ -16,14 +16,16 @@ Chords, compositions and partitions are all plain tuples of ints, so they
 hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 ``make_partition`` are the validating constructors.  The chord table
 (``CHORD_TABLES``) holds one row per chord of each size, and ``chord_row``
-is the one chord validation: ``make_chord``, ``parse_chord``, the operators
-and ``classify`` all go through it.  Only the converters between chords,
-compositions, partitions and text assume already-validated values.
+is the one chord validation: ``make_chord``, the operators and ``classify``
+all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
+table itself, since they need no int check.  Only the converters between
+chords, compositions, partitions and text assume already-validated values.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations
+from operator import sub
 from typing import Iterable, Iterator
 
 OCTAVE = 12
@@ -118,18 +120,20 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
 class _ChordTables(dict):
     """Chord size -> ``{chord: row}`` over every chord of that size, built on first use.
 
-    A row is ``[chord, i, d, a]``, and ``transform`` fills each operator's
-    slot on first use with the row of the chord's image, so each chord
-    tuple exists once and a walk from row to row hashes nothing.  A size
-    outside 1..12 has an empty table.  Sizes are built one at a time, on
-    first lookup, so that a caller pays only for the sizes it uses.
+    A row is ``[chord, i, d, a, label]``, and ``transform`` fills each
+    operator's slot on first use with the row of the chord's image, so each
+    chord tuple exists once and a walk from row to row hashes nothing.
+    ``classify`` writes each harmonic chord's label into its row once, when
+    it builds its label tables; the slot stays None on every other row.  A
+    size outside 1..12 has an empty table.  Sizes are built one at a time,
+    on first lookup, so that a caller pays only for the sizes it uses.
     """
 
     def __missing__(self, k: int) -> dict[Chord, list]:
         if not 1 <= k <= OCTAVE:
             return {}
         chords = [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
-        table = {chord: [chord, None, None, None] for chord in chords}
+        table = {chord: [chord, None, None, None, None] for chord in chords}
         return self.setdefault(k, table)  # two threads building k keep one table
 
 
@@ -231,7 +235,10 @@ def chord_to_composition(chord: Chord) -> Composition:
     """The chord's gap sequence, ending with the wrap-around to the octave.
 
     Assumes a validated chord, as the converters below do too: nothing is
-    checked but emptiness, so ``(0, 4, 4)`` gives ``(4, 0, 8)``.
+    checked but emptiness, so ``(0, 4, 4)`` gives ``(4, 0, 8)``.  Gap j is
+    tone j + 1 (or the octave) minus tone j; ``map`` applies ``operator.sub``
+    in C, with no Python step per gap, since the exhaustive ``verify``
+    sweeps call this once per chord.
 
     >>> chord_to_composition((0, 4, 7, 11))
     (4, 3, 4, 1)
@@ -242,18 +249,22 @@ def chord_to_composition(chord: Chord) -> Composition:
     """
     if not chord:
         raise EmptyChordError("a chord needs at least one tone")
-    return tuple([b - a for a, b in zip(chord, (*chord[1:], OCTAVE))])
+    return tuple(map(sub, (*chord[1:], OCTAVE), chord))
 
 
 def chord_to_partition(chord: Chord) -> Partition:
     """The chord's gap multiset, sorted ascending; EmptyChordError for ``()``.
 
-    Assumes a validated chord: ``(0, 4, 4)`` gives ``(0, 4, 8)``.
+    Assumes a validated chord: ``(0, 4, 4)`` gives ``(0, 4, 8)``.  Sorts
+    the same mapped gaps as :func:`chord_to_composition`, with no
+    composition tuple in between.
 
     >>> chord_to_partition((0, 3, 8))
     (3, 4, 5)
     """
-    return tuple(sorted(chord_to_composition(chord)))
+    if not chord:
+        raise EmptyChordError("a chord needs at least one tone")
+    return tuple(sorted(map(sub, (*chord[1:], OCTAVE), chord)))
 
 
 def composition_to_chord(comp: Composition) -> Chord:
@@ -339,6 +350,13 @@ def parse_chord(text: str) -> Chord:
 
     Tones are ASCII decimal numbers: the extra forms ``int()`` reads, such
     as ``"+4"``, ``"1_1"`` or non-ASCII digits, are rejected, as is a non-str.
+    Returns the chord table's own tuple, and rejects text that is not a
+    chord with ``make_chord``'s subclass and message.
+
+    The tones are looked up in the chord table directly, not through
+    :func:`chord_row`: ``int()`` on text always returns an exact ``int``,
+    so a table hit cannot be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that
+    ``chord_row``'s int pass is there to catch.
     """
     try:
         body = text.strip()
@@ -351,10 +369,13 @@ def parse_chord(text: str) -> Chord:
     if not body.isascii() or "_" in body or "+" in body:
         raise InvalidChordError(f"cannot parse chord text {text!r}")
     try:
-        tones = [int(token) for token in body.split(",")]
+        tones = tuple(map(int, body.split(",")))
     except ValueError:
         raise InvalidChordError(f"cannot parse chord text {text!r}") from None
-    return make_chord(tones)
+    try:
+        return CHORD_TABLES[len(tones)][tones][0]
+    except KeyError:
+        raise _rejection(tones) from None
 
 
 def format_chord(chord: Chord) -> str:

@@ -5,6 +5,7 @@ from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 
 import pytest
+from conftest import gaps
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +34,11 @@ from chordgroups.core import (
 chord_strategy = st.sets(st.integers(min_value=1, max_value=11), max_size=11).map(
     lambda rest: (0, *sorted(rest))
 )
+
+# Every chord of each size 1..12, enumerated without the library.
+ALL_CHORDS = {
+    k: [(0, *rest) for rest in combinations(range(1, 12), k - 1)] for k in range(1, 13)
+}
 
 
 class TestMakeChord:
@@ -130,6 +136,17 @@ class TestGapMaps:
     )
     def test_composition_to_chord(self, comp, chord):
         assert composition_to_chord(comp) == chord
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_converters_match_the_library_free_gaps_on_every_chord(self, k):
+        assert len(ALL_CHORDS[k]) == comb(11, k - 1)  # 2048 chords over the twelve sizes
+        for chord in ALL_CHORDS[k]:
+            comp = chord_to_composition(chord)
+            part = chord_to_partition(chord)
+            assert comp == tuple(gaps(chord)), chord
+            assert part == tuple(sorted(gaps(chord))), chord
+            for value in (comp, part):
+                assert type(value) is tuple and all(type(g) is int for g in value), chord
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_round_trip_and_sum_law(self, k):
@@ -278,6 +295,75 @@ class TestTextForms:
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(InvalidChordError):
             parse_chord(text)
+
+    @pytest.mark.parametrize(
+        "text", ["0", "0,4,7", " (0, 3, 6, 9) ", "0,1,2,3,4,5,6,7,8,9,10,11", "00,04,07"]
+    )
+    def test_parse_returns_the_chord_tables_own_tuple(self, text):
+        chord = parse_chord(text)
+        assert chord is make_chord(list(chord))
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("", EmptyChordError, "empty chord text"),
+            ("( )", EmptyChordError, "empty chord text"),
+            # an ideographic space is whitespace but not ASCII: emptiness is tested first
+            ("(\u3000)", EmptyChordError, "empty chord text"),
+            ("0,\u0664,7", InvalidChordError, "cannot parse chord text '0,\u0664,7'"),
+            ("0,1_1", InvalidChordError, "cannot parse chord text '0,1_1'"),
+            ("0,+4,7", InvalidChordError, "cannot parse chord text '0,+4,7'"),
+            ("0,4,x", InvalidChordError, "cannot parse chord text '0,4,x'"),
+            ("0,4,12", ToneOutOfRangeError, "tone 12 is outside 0..11"),
+            ("1,4,8", FirstToneNotZeroError, "a chord starts at 0, got 1"),
+            ("0,7,4", NotStrictlyIncreasingError, "tones must strictly increase: (0, 7, 4)"),
+            ("0,4,4,7", NotStrictlyIncreasingError, "tones must strictly increase: (0, 4, 4, 7)"),
+            (5, InvalidChordError, "a chord is a tuple of ints, got 5"),
+            (None, InvalidChordError, "a chord is a tuple of ints, got None"),
+            (b"0,4,7", InvalidChordError, "a chord is a tuple of ints, got b'0,4,7'"),
+        ],
+        ids=repr,
+    )
+    def test_parse_rejects_each_kind_with_its_subclass_and_message(self, text, error, message):
+        with pytest.raises(InvalidChordError) as excinfo:
+            parse_chord(text)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+        # no stray KeyError, TypeError or ValueError in the traceback
+        assert excinfo.value.__context__ is None or excinfo.value.__suppress_context__
+
+    @given(
+        st.lists(
+            st.builds(
+                lambda pad, zeros, tone, tail: f"{pad}{'-' * (tone < 0)}{zeros}{abs(tone)}{tail}",
+                st.sampled_from(["", " ", "\t"]),
+                st.sampled_from(["", "0", "00"]),
+                st.one_of(st.integers(min_value=0, max_value=11), st.integers(-3, 14)),
+                st.sampled_from(["", " "]),
+            ),
+            min_size=1,
+            max_size=13,
+        ),
+        st.booleans(),
+    )
+    def test_parse_agrees_with_make_chord_on_int_tokens(self, tokens, parenthesised):
+        # ASCII text without "_" or "+" whose comma tokens all pass int()
+        text = ",".join(tokens)
+        if parenthesised:
+            text = f" ({text}) "
+        assert text.isascii() and "_" not in text and "+" not in text
+
+        def outcome(call, argument):
+            try:
+                return call(argument)
+            except InvalidChordError as error:
+                return type(error), str(error)
+
+        parsed = outcome(parse_chord, text)
+        expected = outcome(make_chord, [int(t) for t in tokens])
+        assert parsed == expected
+        if type(expected) is tuple and type(expected[0]) is int:
+            assert parsed is expected  # both are the chord table's own tuple
 
     @given(chord_strategy)
     def test_parse_format_round_trip(self, chord):
