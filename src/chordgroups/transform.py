@@ -19,6 +19,18 @@ the row of the image, whose first item is the table's own tuple for it.
 ``apply_word`` walks the slots letter by letter, left to right (pipeline
 order, the convention used throughout the CLI), and ``orbit`` is a
 breadth-first closure over the slots of its generators.
+
+``orbit`` walks each orbit once.  The sorted members go into ``_ORBITS``
+under the key ``(frozenset of generator slots, chord)`` of every member,
+as one shared tuple, so a later call from any member with the same
+generator set is one lookup, and each call returns a new list.  The memo
+holds at most 8852 entries, about 1.6 MB by ``tracemalloc``, and only
+once every chord of every size has been asked for under every generator
+set it admits.  By ``timeit`` (Python 3.11.7, 2-core machine) a warm
+``orbit((0, 1, 3, 7), [i, d, a])`` takes 1.1 µs against 10.0 µs for the
+walk, and ``orbit((0, 4, 7, 10), [i])`` 1.0 µs against 1.7 µs.  The
+chord is validated and the generators parsed before the lookup, and a
+walk that raises stores nothing, so every error is as without the memo.
 """
 
 from __future__ import annotations
@@ -164,6 +176,11 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     return chord if row is start else row[0]  # a word that fixes the chord returns it
 
 
+# (frozenset of generator slots, chord) -> the chord's sorted orbit, one
+# tuple shared by the keys of all its members; see the module docstring.
+_ORBITS: dict[tuple[frozenset[int], Chord], tuple[Chord, ...]] = {}
+
+
 def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     """Closure of a chord under the generators, as a sorted list.
 
@@ -178,12 +195,18 @@ def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
         slots = [_slot(op) for op in generators]
     except TypeError:  # not iterable; _slot turns every bad item into ValueError
         raise ValueError(f"generators must be a sequence of operators: {generators!r}") from None
-    members = {row[0]}
-    queue = [row]
-    for row in queue:  # breadth first: the loop reaches rows appended while it runs
-        for slot in slots:
-            image = row[slot] or _fill(row, slot)
-            if image[0] not in members:
-                members.add(image[0])
-                queue.append(image)
-    return sorted(members)
+    slot_set = frozenset(slots)
+    found = _ORBITS.get((slot_set, row[0]))
+    if found is None:
+        members = {row[0]}
+        queue = [row]
+        for row in queue:  # breadth first: the loop reaches rows appended while it runs
+            for slot in slots:
+                image = row[slot] or _fill(row, slot)
+                if image[0] not in members:
+                    members.add(image[0])
+                    queue.append(image)
+        found = tuple(sorted(members))
+        for member in found:  # stored only once the walk is complete
+            _ORBITS[slot_set, member] = found
+    return list(found)

@@ -1,8 +1,28 @@
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from chordgroups.cli import main
+
+
+def pytest_runtest_makereport(item, call):
+    """Load hypothesis's patch writer before its plugin does, with deprecations muted.
+
+    After a failing ``@given`` test the hypothesis plugin imports
+    ``hypothesis.extra._patching``, which imports ``libcst`` where it is
+    installed; ``libcst`` imports ``mypy_extensions.TypedDict``, whose
+    DeprecationWarning under ``-W error`` ends the pytest session with an
+    INTERNALERROR.  Imported here first, the plugin's import is a cache hit.
+    """
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:  # no libcst: the plugin skips its patch too
+                pass
 
 
 def gaps(chord):

@@ -87,3 +87,19 @@ def test_unknown_attribute_is_an_attribute_error():
     import chordgroups
 
     assert not hasattr(chordgroups, "no_such_name")
+
+
+def test_the_classify_submodule_is_reached_by_from_import_and_sys_modules():
+    # ``import chordgroups.classify as m`` reads the package attribute, which
+    # is the function; the two forms the package docstring names reach the
+    # submodule.
+    code = (
+        "import sys, types\n"
+        "import chordgroups.classify as bound\n"
+        "from chordgroups.classify import classify, triad_table\n"
+        "module = sys.modules['chordgroups.classify']\n"
+        "print(isinstance(bound, types.FunctionType), bound is classify,\n"
+        "      isinstance(module, types.ModuleType), module.classify is classify,\n"
+        "      module.triad_table is triad_table)\n"
+    )
+    assert run_python("-c", code).stdout.split() == ["True", "True", "True", "True", "True"]

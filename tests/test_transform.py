@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chordgroups import transform
 from chordgroups.core import (
     InvalidChordError,
     WrongArityError,
@@ -368,6 +371,68 @@ class TestOrbits:
         for member in members:
             for op in (invert, dual, augdim):
                 assert op(member) in members
+
+    # orbit stores each completed walk under every member's key; a stored
+    # orbit must change no result and no error.
+
+    def test_mutating_a_returned_list_leaves_the_next_result_alone(self):
+        expected = [(0, 1, 5, 8), (0, 3, 7, 8), (0, 4, 5, 9), (0, 4, 7, 11)]
+        first = orbit((0, 4, 7, 11), [I, D])
+        first.append((0, 6))
+        first.reverse()
+        second = orbit((0, 4, 7, 11), [I, D])
+        assert second == expected and second is not first
+        second.clear()
+        assert orbit((0, 1, 5, 8), [D, I]) == expected
+
+    def test_a_tuple_only_equal_to_a_stored_member_is_still_invalid(self):
+        assert orbit((0, 4, 7), [I]) == [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
+        for bad in [(0, 4, 7.0), (False, 4, 7), [0, 4, 7]]:
+            with pytest.raises(InvalidChordError):
+                orbit(bad, [I])
+
+    def test_a_bad_generator_still_raises_once_the_orbit_is_stored(self):
+        orbit((0, 4, 7, 11), [I])
+        with pytest.raises(ValueError, match="not an operator: 'x'"):
+            orbit((0, 4, 7, 11), [I, "x"])
+
+    def test_a_failed_walk_stores_nothing(self):
+        for _ in range(2):
+            with pytest.raises(WrongArityError):
+                orbit((0, 4, 7), [I, A])
+        assert orbit((0, 4, 7), [I]) == [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
+        assert orbit((0, 3, 8), [I, D]) == _closure_by_tones((0, 3, 8), [I, D])
+
+    def test_a_one_shot_iterator_of_generators_works_on_a_warm_memo(self):
+        expected = orbit((0, 1, 3, 7), [I, D, A])
+        assert orbit((0, 1, 3, 7), iter([A, D, I])) == expected
+        assert orbit((0, 1, 3, 7), (op for op in [I, D, A, I])) == expected
+
+    @pytest.mark.parametrize("generators", [[I], [D], [I, D], [I, A], [D, A], [I, D, A]])
+    def test_every_member_gives_the_same_orbit(self, generators):
+        for chord in enumerate_chords(4):
+            members = orbit(chord, generators)
+            for member in members:
+                assert orbit(member, generators[::-1]) == members
+
+
+def test_threads_sharing_the_orbit_memo_get_the_single_threaded_orbits():
+    tetrads = enumerate_chords(4)
+    transform._ORBITS.clear()
+    expected = [orbit(chord, [I, D, A]) for chord in tetrads]
+    transform._ORBITS.clear()
+    start = threading.Barrier(4)
+
+    def walk(offset):
+        start.wait()
+        # each thread starts at a different tetrad, so their walks overlap
+        order = tetrads[offset:] + tetrads[:offset]
+        return {chord: orbit(chord, [I, D, A]) for chord in order}
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(walk, [0, 41, 82, 123]))
+    for result in results:
+        assert [result[chord] for chord in tetrads] == expected
 
 
 # Each call but the last returned a silently wrong value or raised a stray
