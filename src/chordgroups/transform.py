@@ -26,9 +26,7 @@ as one shared tuple, so a later call from any member with the same
 generator set is one lookup, and each call returns a new list.  The memo
 holds at most 8852 entries, about 1.6 MB by ``tracemalloc``, and only
 once every chord of every size has been asked for under every generator
-set it admits.  By ``timeit`` (Python 3.11.7, 2-core machine) a warm
-``orbit((0, 1, 3, 7), [i, d, a])`` takes 1.1 µs against 10.0 µs for the
-walk, and ``orbit((0, 4, 7, 10), [i])`` 1.0 µs against 1.7 µs.  The
+set it admits.  What the memo saves is measured in ``BENCH_15.json``.  The
 chord is validated and the generators parsed before the lookup, and a
 walk that raises stores nothing, so every error is as without the memo.
 """

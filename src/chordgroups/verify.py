@@ -8,9 +8,11 @@ circularity.
 
 ``relations(k)`` for k = 2..6 checks on every k-tone chord that i rotates
 its gaps left, d reverses them and, for k = 4, a swaps the middle two
-(``_gap_law``, shared with ``composition-action``).  It then checks the
-relations on ``gap_permutation``'s k-gap permutations: i^k = 1, d and
-(k = 4) a are involutions, and d∘i^n = i^((k-n) mod k)∘d for n = 0..k.
+(``_gap_law``), so a broken tetrad operator is reported under
+``relations(k=4)``.  It then checks the relations on ``gap_permutation``'s
+k-gap permutations: i^k = 1, d and (k = 4) a are involutions, and
+d∘i^n = i^((k-n) mod k)∘d for n = 0..k.  ``composition-action`` checks
+only that each tetrad's images under i, d and a keep its partition.
 ``permutation-closure`` checks that the operators reach all 24
 orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one chord in
 its orbit per ordering.
@@ -36,7 +38,6 @@ from .classify import (
     triad_table,
 )
 from .core import (
-    Chord,
     chord_to_composition,
     chord_to_partition,
     chords_of_partition,
@@ -97,30 +98,29 @@ def _check_partition_fibers() -> CheckResult:
             if any(chord_to_partition(c) != partition for c in fiber):
                 return False, f"fiber of {partition} leaks"
             covered.extend(fiber)
-        if sorted(covered) != enumerate_chords(k) or len(set(covered)) != len(covered):
+        chords = enumerate_chords(k)
+        # n items that cover all n chords hold each chord exactly once
+        if len(covered) != len(chords) or not set(covered).issuperset(chords):
             return False, f"fibers do not tile the k={k} chords"
     return True, ""
 
 
-def _images(chord: Chord) -> tuple[Chord, ...]:
-    """chord's images under i, d and, for tetrads, a: each operator applied once."""
-    if len(chord) == 4:
-        return invert(chord), dual(chord), augdim(chord)
-    return invert(chord), dual(chord)
+def _gap_law(k: int) -> str:
+    """The first law of i, d and (k = 4) a that a k-tone chord breaks, or "".
 
-
-def _gap_law(chord: Chord, images: tuple[Chord, ...]) -> str:
-    """The first of i, d and (tetrads) a that does not move chord's gaps as documented, or "".
-
-    ``images`` is ``_images(chord)``.
+    At each chord every image is taken before any law is tested, and the
+    laws are tested in the order i, d, a.
     """
-    g = chord_to_composition(chord)
-    if images[0] != composition_to_chord(g[1:] + g[:1]):
-        return f"inversion is not rotate-left at {chord}"
-    if images[1] != composition_to_chord(g[::-1]):
-        return f"duality is not reverse at {chord}"
-    if len(chord) == 4 and images[2] != composition_to_chord((g[0], g[2], g[1], g[3])):
-        return f"augdim is not the middle swap at {chord}"
+    for chord in enumerate_chords(k):
+        i, d = invert(chord), dual(chord)
+        a = augdim(chord) if k == 4 else None
+        g = chord_to_composition(chord)
+        if i != composition_to_chord(g[1:] + g[:1]):
+            return f"inversion is not rotate-left at {chord}"
+        if d != composition_to_chord(g[::-1]):
+            return f"duality is not reverse at {chord}"
+        if k == 4 and a != composition_to_chord((g[0], g[2], g[1], g[3])):
+            return f"augdim is not the middle swap at {chord}"
     return ""
 
 
@@ -130,9 +130,8 @@ def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def _relations_check(k: int) -> Callable[[], CheckResult]:
     def check() -> CheckResult:
-        for chord in enumerate_chords(k):
-            if failure := _gap_law(chord, _images(chord)):
-                return False, failure
+        if failure := _gap_law(k):
+            return False, failure
         i, d = (gap_permutation(op, k) for op in (Operator.INVERSION, Operator.DUALITY))
         powers = [tuple(range(k))]  # powers[n] = i^n; powers[0] is the identity
         for _ in range(k):
@@ -153,9 +152,7 @@ def _relations_check(k: int) -> Callable[[], CheckResult]:
 
 def _check_composition_action() -> CheckResult:
     for chord in enumerate_chords(4):
-        images = _images(chord)
-        if failure := _gap_law(chord, images):
-            return False, failure
+        images = invert(chord), dual(chord), augdim(chord)
         partition = chord_to_partition(chord)
         for op, image in zip((invert, dual, augdim), images):
             if chord_to_partition(image) != partition:

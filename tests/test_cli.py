@@ -61,6 +61,10 @@ class TestOrbit:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_no_generators_leave_the_chord_alone(self, invoke):
+        code, out, _ = invoke("orbit", "", "0,4,7")
+        assert (code, out) == (0, "0,4,7\n")
+
     def test_augdim_generator_on_triad_is_an_arity_error(self, invoke):
         code, _, _ = invoke("orbit", "i,a", "0,4,7")
         assert code == 3

@@ -181,6 +181,11 @@ class TestGapActions:
             with pytest.raises(WrongArityError, match="four-tone"):
                 gap_permutation(A, k)
 
+    def test_gap_permutation_of_a_non_operator_is_a_value_error(self):
+        with pytest.raises(ValueError) as raised:
+            gap_permutation("x", 3)
+        assert (type(raised.value), str(raised.value)) == (ValueError, "not an operator: 'x'")
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_slots_are_the_gap_permutations(self, k):
         # each chord as the table's own tuple and as a fresh equal tuple, which

@@ -1,13 +1,17 @@
-"""Planted defects: the exhaustive verify checks must fail, naming the chord.
+"""Planted defects: the verify checks must fail, naming what broke.
 
 Each mutant operator is wrong only at a target chord X (and, for the
-mutant that keeps d an involution, at d(X)).  ``relations(k)`` and
-``composition-action`` apply the operators to each swept chord alone, so
-the first failure either reports is at X itself.  For ``relations(k)``, X
-is the last chord that is the lexicographically smallest of its orbit
-under i, d (and a on tetrads), so the sweep has to get deep into the
-chords to reach it; the last chord of the size is planted as well, and
-for ``composition-action`` X is simply the last tetrad.
+mutant that keeps d an involution, at d(X)).  ``relations(k)`` applies the
+operators to each swept chord alone, so the first failure it reports is
+at X itself.  X is the last chord that is the lexicographically smallest
+of its orbit under i, d (and a on tetrads), so the sweep has to get deep
+into the chords to reach it; the last chord of the size is planted as
+well.  A broken tetrad operator is reported under ``relations(k=4)`` only:
+``composition-action`` checks just that each tetrad's images keep its
+partition, so its mutants sit at the last tetrad: an image with another
+partition fails it, one with the same partition is left to
+``relations(k=4)``.  The other mutants replace one value of a function
+``verify`` imports and pin the exact detail of the check that uses it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from chordgroups import verify
-from chordgroups.core import enumerate_chords
+from chordgroups.core import chord_to_partition, chords_of_partition, enumerate_chords
 from chordgroups.graph import ChordGraph, Operator, build_chord_graph
 from chordgroups.transform import augdim, dual, invert, orbit
 
@@ -47,6 +51,41 @@ def _plant_wrong_image(monkeypatch, name: str, target: tuple[int, ...]) -> None:
     real = OPERATORS[name]
     wrong = next(c for c in enumerate_chords(len(target)) if c not in (target, real(target)))
     _plant(monkeypatch, name, {target: wrong})
+
+
+def _plant_value(monkeypatch, name: str, argument, value) -> None:
+    """Replace verify's ``name`` by one that returns ``value`` at ``argument`` only."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda x: value if x == argument else real(x))
+
+
+@pytest.mark.parametrize(
+    "name, argument, value, detail",
+    [
+        ("chord_to_composition", (0, 4, 7), (4, 3, 6), "gaps of (0, 4, 7) sum to 13"),
+        ("composition_to_chord", (4, 3, 5), (0, 4, 8), "round trip broke at (0, 4, 7)"),
+    ],
+    ids=["gaps-sum-to-13", "round-trip-breaks"],
+)
+def test_core_roundtrip_names_the_chord(monkeypatch, name, argument, value, detail):
+    _plant_value(monkeypatch, name, argument, value)
+    assert CHECKS["core-roundtrip"]() == (False, detail)
+
+
+def test_partition_fibers_name_a_leaking_fiber(monkeypatch):
+    fiber = verify.chords_of_partition((3, 4, 5))
+    _plant_value(monkeypatch, "chords_of_partition", (3, 4, 5), [*fiber, (0, 1, 2)])
+    assert CHECKS["partition-fibers"]() == (False, "fiber of (3, 4, 5) leaks")
+
+
+# a chord missing and a chord counted twice: the fibers must cover each chord once
+@pytest.mark.parametrize(
+    "change", [lambda fiber: fiber[:-1], lambda fiber: [fiber[0], *fiber]], ids=["gap", "overlap"]
+)
+def test_partition_fibers_must_tile_the_chords(monkeypatch, change):
+    fiber = verify.chords_of_partition((3, 4, 5))
+    _plant_value(monkeypatch, "chords_of_partition", (3, 4, 5), change(fiber))
+    assert CHECKS["partition-fibers"]() == (False, "fibers do not tile the k=3 chords")
 
 
 @pytest.mark.parametrize(
@@ -158,21 +197,23 @@ def test_relations_check_the_gap_permutations(monkeypatch, op, k, perm, detail):
 
 
 @pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
-def test_composition_action_fails_at_the_planted_chord(monkeypatch, name):
+def test_a_wrong_image_in_the_same_fiber_is_left_to_relations(monkeypatch, name):
+    # the gap law is checked once, under relations(k=4); the image keeps the partition
     target = enumerate_chords(4)[-1]
-    _plant_wrong_image(monkeypatch, name, target)
-    passed, detail = CHECKS["composition-action"]()
+    real = OPERATORS[name]
+    wrong = next(c for c in chords_of_partition(chord_to_partition(target)) if c != real(target))
+    _plant(monkeypatch, name, {target: wrong})
+    assert CHECKS["composition-action"]() == (True, "")
+    passed, detail = CHECKS["relations(k=4)"]()
     assert not passed
-    assert f"at {target}" in detail
+    assert detail.endswith(f"at {target}")
 
 
 @pytest.mark.parametrize("name", ["invert", "dual", "augdim"])
 def test_composition_action_compares_the_partition_of_the_image(monkeypatch, name):
-    # the gap laws are silenced, so only the partition clause can fail; the
-    # planted image (0, 4, 7, 11) has gaps 1,3,4,4, the target 1,1,1,9
+    # the planted image (0, 4, 7, 11) has gaps 1,3,4,4, the target 1,1,1,9
     target = enumerate_chords(4)[-1]
     _plant(monkeypatch, name, {target: (0, 4, 7, 11)})
-    monkeypatch.setattr(verify, "_gap_law", lambda chord, images: "")
     assert CHECKS["composition-action"]() == (
         False,
         f"{name} changed the partition of {target}",
