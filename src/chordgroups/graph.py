@@ -12,14 +12,16 @@ is a second isomorphism that shifts the inversion index; it is not returned.
 ``export_json`` writes its two-space, sorted-key layout itself, escaping
 strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
 sort_keys=True) + "\n"``, without the pure-Python encoder that ``indent``
-selects.  The hot loops read enum members through module aliases, because
-reading one off its class costs a Python-level lookup on every pass.
+selects.  It imports its string escaper from ``json.encoder`` on its first
+call, so ``json`` loads only for a JSON export: building, searching and
+DOT-exporting the graph, and ``verify``, run without it.  The hot loops
+read enum members through module aliases, because reading one off its
+class costs a Python-level lookup on every pass.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
 from .core import Chord, Record, chord_to_composition
@@ -82,7 +84,14 @@ class ChordGraph(Record):
         _set(self, "_by_id", {node.id: node for node in nodes})
 
     def node(self, node_id: str) -> GraphNode:
-        return self._by_id[node_id]
+        """The node whose id is ``node_id``; raises KeyError(node_id) if there is none.
+
+        An id that cannot be hashed, such as a list, is no node's id either.
+        """
+        try:
+            return self._by_id[node_id]
+        except (KeyError, TypeError):
+            raise KeyError(node_id) from None
 
 
 _FAMILY_ORDER = {family: index for index, family in enumerate(ROOT_CHORDS)}
@@ -237,18 +246,20 @@ def export_json(graph: ChordGraph) -> str:
     sort_keys=True) + "\\n"``, byte for byte: two-space indent, keys sorted,
     strings ASCII-escaped, an empty array written ``[]``.
     """
+    from json.encoder import encode_basestring_ascii as quote
+
     nodes = [
         _NODE_JSON
         % (
             _json_array(list(map(str, node.chord)), "      "),
-            _quote(node.label.family.value),
-            _quote(node.id),
+            quote(node.label.family.value),
+            quote(node.id),
             node.label.inversion,
         )
         for node in graph.nodes
     ]
     edges = [
-        _EDGE_JSON % (_quote(edge.source), _OP_LABEL[edge.op], _quote(edge.target))
+        _EDGE_JSON % (quote(edge.source), _OP_LABEL[edge.op], quote(edge.target))
         for edge in graph.edges
     ]
     return '{\n  "edges": %s,\n  "nodes": %s\n}\n' % (

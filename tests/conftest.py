@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,21 @@ def pytest_runtest_makereport(item, call):
                 import hypothesis.extra._patching  # noqa: F401
             except ImportError:  # no libcst: the plugin skips its patch too
                 pass
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports the package from this checkout; it must exit 0."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+        check=True,
+    )
 
 
 def gaps(chord):

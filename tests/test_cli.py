@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chordgroups import verify
 from chordgroups.cli import main
 
-from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS
+from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, run_python
 
 
 class TestApply:
@@ -236,6 +236,11 @@ class TestUsage:
 
     def test_unknown_command_is_a_usage_error(self, invoke):
         assert invoke("transmogrify")[0] == 2
+
+    def test_the_cli_module_runs_as_a_script(self):
+        # ``python -m chordgroups.cli`` reaches main() through cli.py's main guard only
+        result = run_python("-m", "chordgroups.cli", "classify", "0,4,7")
+        assert (result.stdout, result.stderr) == ("Major0\n", "")
 
 
 # Words the parser knows, chord texts valid and not, and free text.

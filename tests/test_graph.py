@@ -109,6 +109,13 @@ class TestBuild:
         assert first.nodes[0] is not second.nodes[0]
         assert first.edges[0] is not second.edges[0]
 
+    # dd0 is a label, but not a node without include_dd; a list cannot be hashed
+    @pytest.mark.parametrize("node_id", ["dd0", "XX0", 0, ["MM0"]], ids=repr)
+    def test_an_unknown_node_id_is_a_key_error(self, graph, node_id):
+        with pytest.raises(KeyError) as excinfo:
+            graph.node(node_id)
+        assert excinfo.value.args == (node_id,)
+
 
 class TestComponents:
     def test_dd_forms_its_own_component(self, graph_with_dd):

@@ -1,14 +1,12 @@
-"""What the package and the one-shot CLI commands import, each in a fresh interpreter."""
+"""What the package and the CLI commands import, each in a fresh interpreter."""
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+import pytest
+
+from conftest import run_python
 
 # Heavy or unneeded for classify, apply, orbit, partition and enumerate.
 NOT_LOADED_BY_ONE_SHOT_COMMANDS = (
@@ -20,40 +18,46 @@ NOT_LOADED_BY_ONE_SHOT_COMMANDS = (
 )
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter that imports the package from this checkout."""
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        timeout=60,
-        check=True,
-    )
+# What only a JSON export needs: export_json imports json.encoder on its first call.
+JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
 
 
-def test_classify_command_stays_off_the_heavy_imports():
+@pytest.mark.parametrize(
+    "argv, first_line, watched, loaded",
+    [
+        ("classify 0,4,7,10", "Mm0", NOT_LOADED_BY_ONE_SHOT_COMMANDS, ()),
+        ("graph --format dot", "digraph chord_graph {", JSON_MODULES, ()),
+        ("verify", "core-roundtrip: PASS", JSON_MODULES, ()),
+        ("graph --format json", "{", JSON_MODULES, JSON_MODULES),
+    ],
+    ids=["classify", "graph-dot", "verify", "graph-json"],
+)
+def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     # runpy.run_module is what ``python -m chordgroups`` runs.
     code = (
-        "import runpy, sys\n"
-        "sys.argv = ['chordgroups', 'classify', '0,4,7,10']\n"
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['chordgroups', *{argv.split()!r}]\n"
+        "out = io.StringIO()\n"
         "try:\n"
-        "    runpy.run_module('chordgroups', run_name='__main__', alter_sys=True)\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runpy.run_module('chordgroups', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
-        f"print(sorted(set({NOT_LOADED_BY_ONE_SHOT_COMMANDS!r}) & set(sys.modules)))\n"
+        "print(out.getvalue().splitlines()[0])\n"
+        f"print(sorted(set({watched!r}) & set(sys.modules)))\n"
     )
-    assert run_python("-c", code).stdout == "Mm0\n[]\n"
+    assert run_python("-c", code).stdout == f"{first_line}\n{sorted(loaded)}\n"
 
 
-def test_graph_names_load_on_first_use():
+def test_graph_names_load_on_first_use_without_json():
     code = (
         "import sys, chordgroups\n"
         "before = 'chordgroups.graph' in sys.modules\n"
         "chordgroups.build_chord_graph\n"
         "print(before, 'chordgroups.graph' in sys.modules)\n"
+        f"print(sorted(set({JSON_MODULES!r}) & set(sys.modules)))\n"
     )
-    assert run_python("-c", code).stdout.split() == ["False", "True"]
+    assert run_python("-c", code).stdout == "False True\n[]\n"
 
 
 def test_graph_first_keeps_classify_a_function_and_star_binds_all():

@@ -252,3 +252,27 @@ def test_table_names_a_mislabelled_row_chord(monkeypatch):
 
     monkeypatch.setattr(verify, "classify", mislabel)
     assert CHECKS["table-1"]() == (False, "(0, 3, 8) is labelled Major0")
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("augdim", "a-fixed points are ['AM3', 'MM0', 'Mm0', 'dm3', 'mM0']"),
+        ("dual", "duality fixes [(0, 4, 7, 11)]"),
+    ],
+)
+def test_fixed_points_name_a_planted_fixed_chord(monkeypatch, name, detail):
+    _plant(monkeypatch, name, {(0, 4, 7, 11): (0, 4, 7, 11)})
+    assert CHECKS["a-fixed-points"]() == (False, detail)
+
+
+def test_isomorphism_counts_the_pairs_of_the_map(monkeypatch):
+    real = verify.component_isomorphism
+
+    def short(graph):
+        mapping = real(graph)
+        del mapping["MM0"]
+        return mapping
+
+    monkeypatch.setattr(verify, "component_isomorphism", short)
+    assert CHECKS["isomorphism"]() == (False, "map has 11 pairs, include_dd=False")
