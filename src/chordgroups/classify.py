@@ -90,12 +90,19 @@ class ChordLabel(Record):
     inversion: int
 
     def __init__(self, family: Family, inversion: int) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "inversion", inversion)
-        object.__setattr__(self, "_text", f"{family.value}{inversion}")
+        _label_family(self, family)
+        _label_inversion(self, inversion)
+        _label_text(self, f"{family.value}{inversion}")
 
     def __str__(self) -> str:
         return self._text
+
+
+_label_family, _label_inversion, _label_text = (
+    ChordLabel.family.__set__,
+    ChordLabel.inversion.__set__,
+    ChordLabel._text.__set__,
+)
 
 
 def is_harmonic_triad(chord: Chord) -> bool:

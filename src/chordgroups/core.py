@@ -41,9 +41,13 @@ class Record:
     Equality, hashing and ``repr`` read those fields exactly as a frozen
     dataclass does: equal only to an instance of the same class, hashed as
     the tuple of field values, shown as ``Name(field=value, ...)``.  Each
-    subclass's ``__init__`` sets every slot once with ``object.__setattr__``,
-    fields first, then any value derived from them.  Pickling and copying
-    rebuild the value through the constructor.
+    subclass's ``__init__`` sets every slot once, fields first, then any
+    value derived from them, through the slot descriptor's ``__set__``: the
+    defining module binds it once per slot, as a module alias such as
+    ``_node_id = GraphNode.id.__set__``.  That skips ``__setattr__``, which
+    refuses every assignment, and costs no lookup by name, as
+    ``object.__setattr__(self, "id", ...)`` does on every call.  Pickling
+    and copying rebuild the value through the constructor.
 
     ``ChordLabel`` and the graph's values are not dataclasses, whose import
     pulls ``inspect`` and ``ast`` into every one-shot CLI command.  Nor are

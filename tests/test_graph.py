@@ -20,6 +20,7 @@ from chordgroups.graph import (
 )
 from chordgroups.transform import augdim, dual, invert
 from chordgroups.verify import SEVENTH_ROWS
+from conftest import gaps
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,22 @@ def graph_with_dd():
 
 def _edges(graph, op):
     return [e for e in graph.edges if e.op is op]
+
+
+def _chord(gap_list):
+    """The chord rooted at 0 with these gaps, computed without the library."""
+    tones = [0]
+    for gap in gap_list[:-1]:
+        tones.append(tones[-1] + gap)
+    return tuple(tones)
+
+
+# each operator as the paper's table states it on a chord's gaps
+GAP_ACTIONS = {
+    Operator.INVERSION: lambda g: g[1:] + g[:1],
+    Operator.DUALITY: lambda g: g[::-1],
+    Operator.AUGDIM: lambda g: [g[0], g[2], g[1], g[3]],
+}
 
 
 class TestBuild:
@@ -117,6 +134,55 @@ class TestBuild:
         assert excinfo.value.args == (node_id,)
 
 
+class TestEdgeOrder:
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_groups_come_in_the_order_i_d_a(self, include_dd):
+        ops = [e.op for e in build_chord_graph(include_dd).edges]
+        order = (Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
+        assert ops == [op for op in order for _ in range(ops.count(op))]
+
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_each_group_is_sorted_by_source_then_target(self, include_dd):
+        graph = build_chord_graph(include_dd)
+        for op in Operator:
+            pairs = [(e.source, e.target) for e in _edges(graph, op)]
+            assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_an_involution_edge_is_stored_once_from_its_first_key(self, include_dd):
+        # every edge, derived from the gap actions: i from each node, d and a
+        # from the endpoint whose (id.lower(), id) sorts first, self-loops kept
+        graph = build_chord_graph(include_dd)
+        id_of = {node.chord: node.id for node in graph.nodes}
+
+        def key(node_id):
+            return node_id.lower(), node_id
+
+        expected = []
+        for op, action in GAP_ACTIONS.items():
+            pairs = set()
+            for node in graph.nodes:
+                pair = (node.id, id_of[_chord(action(gaps(node.chord)))])
+                pairs.add(pair if op is Operator.INVERSION else tuple(sorted(pair, key=key)))
+            expected += [(source, target, op) for source, target in sorted(pairs)]
+        assert [(e.source, e.target, e.op) for e in graph.edges] == expected
+
+    def test_duality_group(self, graph):
+        # dm/Mm pairs go from dm, which sorts first case-insensitively, not by code point
+        assert [(e.source, e.target) for e in _edges(graph, Operator.DUALITY)] == [
+            ("AM0", "mM3"), ("AM1", "mM2"), ("AM2", "mM1"), ("AM3", "mM0"),
+            ("MM0", "MM3"), ("MM1", "MM2"),
+            ("dm0", "Mm3"), ("dm1", "Mm2"), ("dm2", "Mm1"), ("dm3", "Mm0"),
+            ("mm0", "mm3"), ("mm1", "mm2"),
+        ]  # fmt: skip
+
+    def test_dd_adds_one_self_loop_to_each_group(self, graph, graph_with_dd):
+        extra = [e for e in graph_with_dd.edges if e not in graph.edges]
+        assert [(e.source, e.target, e.op) for e in extra] == [
+            ("dd0", "dd0", op) for op in Operator
+        ]
+
+
 class TestComponents:
     def test_dd_forms_its_own_component(self, graph_with_dd):
         components = connected_components(graph_with_dd)
@@ -159,6 +225,18 @@ class TestComponents:
         message = f"{edge!r} ends at {dropped!r}, which is not a node"
         with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
             connected_components(ChordGraph(nodes, graph.edges))
+        assert excinfo.type is ValueError
+
+    # a value that cannot be hashed is no node's id, as None and 5 are not
+    @pytest.mark.parametrize("end", [["MM0"], None, 5], ids=repr)
+    @pytest.mark.parametrize("at", ["source", "target"])
+    def test_an_endpoint_that_is_no_node_is_a_value_error(self, graph, end, at):
+        stray = GraphEdge(end, "MM0", Operator.INVERSION)
+        if at == "target":
+            stray = GraphEdge("MM0", end, Operator.INVERSION)
+        message = f"{stray!r} ends at {end!r}, which is not a node"
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            connected_components(ChordGraph(graph.nodes, graph.edges + (stray,)))
         assert excinfo.type is ValueError
 
 
@@ -213,6 +291,24 @@ class TestIsomorphism:
         named = f"('MM0', '{target}', <Operator.INVERSION: 'i'>)"
         with pytest.raises(IsomorphismViolationError, match=re.escape(named)):
             component_isomorphism(ChordGraph(graph.nodes, edges))
+
+    # an edge from either component to a value that is no node leaves it; a
+    # value that cannot be hashed is named as such
+    @pytest.mark.parametrize(
+        "end, reason",
+        [
+            (["MM0"], "edge ends at no node"),
+            (None, "edge leaves its component"),
+            (5, "edge leaves its component"),
+        ],
+        ids=["list", "None", "5"],
+    )
+    @pytest.mark.parametrize("node_id", ["MM0", "mm0"])
+    def test_an_edge_to_a_value_that_is_no_node_is_a_violation(self, graph, end, reason, node_id):
+        stray = GraphEdge(node_id, end, Operator.DUALITY)
+        named = f"{reason}: {(node_id, end, Operator.DUALITY)}"
+        with pytest.raises(IsomorphismViolationError, match=re.escape(named)):
+            component_isomorphism(ChordGraph(graph.nodes, graph.edges + (stray,)))
 
     def test_missing_partner_node_is_a_violation(self, graph):
         nodes = tuple(n for n in graph.nodes if n.id != "mm0")

@@ -1,16 +1,20 @@
-"""The component isomorphism checked against networkx's VF2 matcher.
+"""The graph's components and isomorphism checked against networkx.
 
 VF2 (Cordella et al., 2004) lists every operator-preserving isomorphism
 between the two 12-node components, so these tests can say how many there
-are and which one ``component_isomorphism`` returns.  networkx is a
-test-only dependency; without it the module is skipped.
+are and which one ``component_isomorphism`` returns.  networkx's own
+``connected_components`` checks ours on random edge subsets.  networkx is
+a test-only dependency; without it the module is skipped.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordgroups.graph import (
+    ChordGraph,
     Operator,
     build_chord_graph,
     component_isomorphism,
@@ -92,3 +96,26 @@ def test_tables_are_gap_relabellings(table, relabel):
     chord_of = {node.id: node.chord for node in build_chord_graph().nodes}
     for source, target in table.items():
         assert gaps(chord_of[target]) == [relabel[g] for g in gaps(chord_of[source])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), include_dd=st.booleans())
+def test_components_match_networkx_on_any_edge_subset(data, include_dd):
+    built = build_chord_graph(include_dd=include_dd)
+    edges = data.draw(st.lists(st.sampled_from(built.edges), unique=True), label="edges")
+    nodes = data.draw(st.permutations(built.nodes), label="node order")
+    components = connected_components(ChordGraph(tuple(nodes), tuple(edges)))
+
+    undirected = nx.Graph()
+    undirected.add_nodes_from(node.id for node in nodes)
+    undirected.add_edges_from((edge.source, edge.target) for edge in edges)
+    expected = list(nx.connected_components(undirected))
+    assert sorted(map(frozenset, expected), key=sorted) == sorted(
+        (frozenset(node.id for node in component) for component in components), key=sorted
+    )
+    # largest first; members, and components of equal size by their first
+    # member, in family, then inversion order, which is the built order
+    rank = {node.id: n for n, node in enumerate(built.nodes)}
+    ranks = [[rank[node.id] for node in component] for component in components]
+    assert all(r == sorted(r) for r in ranks)
+    assert ranks == sorted(ranks, key=lambda r: (-len(r), r[0]))

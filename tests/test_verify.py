@@ -19,7 +19,13 @@ from __future__ import annotations
 import pytest
 
 from chordgroups import verify
-from chordgroups.core import chord_to_partition, chords_of_partition, enumerate_chords
+from chordgroups.classify import ChordLabel, SeventhFamily, TriadFamily
+from chordgroups.core import (
+    chord_to_partition,
+    chords_of_partition,
+    enumerate_chords,
+    enumerate_partitions,
+)
 from chordgroups.graph import ChordGraph, Operator, build_chord_graph
 from chordgroups.transform import augdim, dual, invert, orbit
 
@@ -276,3 +282,89 @@ def test_isomorphism_counts_the_pairs_of_the_map(monkeypatch):
 
     monkeypatch.setattr(verify, "component_isomorphism", short)
     assert CHECKS["isomorphism"]() == (False, "map has 11 pairs, include_dd=False")
+
+
+def _plant_values(monkeypatch, name: str, overrides: dict) -> None:
+    """Replace verify's ``name`` by one that returns ``overrides[x]`` at each x it holds."""
+    for argument, value in overrides.items():
+        _plant_value(monkeypatch, name, argument, value)
+
+
+def _plant_entry(monkeypatch, name: str, key, value) -> None:
+    """Replace verify's table function ``name`` by one whose table maps ``key`` to ``value``."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda: {**real(), key: value})
+
+
+def _failures() -> dict[str, str]:
+    """Each failing check's detail by name; every check not named passed."""
+    return {name: detail for name, passed, detail in verify.run_checks() if not passed}
+
+
+# One fault per failure line of triads and sevenths.  A fault in a name that
+# other checks use fails them too, with their own details; no other check fails.
+@pytest.mark.parametrize(
+    "plant, failures",
+    [
+        pytest.param(
+            lambda mp: _plant_value(
+                mp,
+                "enumerate_partitions",
+                3,
+                [p for p in enumerate_partitions(3) if p != (4, 4, 4)],
+            ),
+            {
+                "partition-fibers": "fibers do not tile the k=3 chords",
+                "triads": "triad partitions are [(3, 3, 6), (3, 4, 5)]",
+            },
+            id="triads-lose-a-heavy-partition",
+        ),
+        pytest.param(
+            lambda mp: _plant_value(mp, "is_harmonic_triad", (0, 1, 2), True),
+            {"triads": "11 harmonic triads, table has 10"},
+            id="triads-gain-a-harmonic-chord",
+        ),
+        pytest.param(
+            lambda mp: _plant_values(mp, "is_harmonic_triad", {(0, 1, 2): True, (0, 4, 7): False}),
+            {"triads": "10 harmonic triads, table has 10"},
+            id="triads-swap-a-harmonic-chord",
+        ),
+        pytest.param(
+            lambda mp: _plant_entry(mp, "triad_table", (0, 3, 8), ChordLabel(TriadFamily.MAJOR, 0)),
+            {"triads": "triad labels are not distinct"},
+            id="triads-repeat-a-label",
+        ),
+        pytest.param(
+            lambda mp: _plant_value(mp, "is_harmonic_seventh", (0, 1, 2, 3), True),
+            {"sevenths": "26 harmonic sevenths, table has 25"},
+            id="sevenths-gain-a-harmonic-chord",
+        ),
+        pytest.param(
+            lambda mp: _plant_values(
+                mp, "is_harmonic_seventh", {(0, 1, 2, 3): True, (0, 4, 7, 11): False}
+            ),
+            {"sevenths": "25 harmonic sevenths, table has 25"},
+            id="sevenths-swap-a-harmonic-chord",
+        ),
+        pytest.param(
+            lambda mp: _plant_value(mp, "chord_to_partition", (0, 4, 7, 11), (2, 3, 3, 4)),
+            {
+                "partition-fibers": "fiber of (1, 3, 4, 4) leaks",
+                "composition-action": "invert changed the partition of (0, 1, 5, 8)",
+                "sevenths": "partition multiset is "
+                "{(1, 3, 4, 4): 11, (2, 3, 3, 4): 13, (3, 3, 3, 3): 1}",
+            },
+            id="sevenths-move-a-chord-to-another-partition",
+        ),
+        pytest.param(
+            lambda mp: _plant_entry(
+                mp, "seventh_table", (0, 3, 7, 8), ChordLabel(SeventhFamily.MM, 0)
+            ),
+            {"sevenths": "seventh labels are not distinct"},
+            id="sevenths-repeat-a-label",
+        ),
+    ],
+)
+def test_triads_and_sevenths_name_what_broke(monkeypatch, plant, failures):
+    plant(monkeypatch)
+    assert _failures() == failures
