@@ -11,15 +11,13 @@ chords across 7 families.
 statement of family order; everything else is derived.  ``family_row`` is
 the one inversion walk, and one label table per chord size maps each chord
 of every row to its family and position, so reproducing the published
-tables is a meaningful check rather than a tautology.  Each label is also
-written into its chord's row of ``core``'s chord table, so ``classify``
-validates a chord and finds its label in one lookup.
+tables is a meaningful check rather than a tautology.  ``classify``
+validates a chord through ``core.chord_row`` and looks it up in its size's table.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
 
 from .core import (
     Chord,
@@ -59,7 +57,7 @@ class SeventhFamily(Enum):
     __hash__ = object.__hash__
 
 
-Family = Union[TriadFamily, SeventhFamily]
+Family = TriadFamily | SeventhFamily
 
 ROOT_CHORDS: dict[Family, Chord] = {
     TriadFamily.MAJOR: (0, 4, 7),
@@ -131,35 +129,28 @@ def family_row(family: Family) -> tuple[Chord, ...]:
     """The inversion orbit of the family's root, in inversion order, as table tuples.
 
     Augmented triads and dd sevenths are inversion-stable, so their row has
-    a single entry; every other family fills a full cycle.
+    a single entry; every other family fills a full cycle.  Anything but a
+    ``TriadFamily`` or ``SeventhFamily`` member raises ValueError.
     """
-    row = [chord_row(ROOT_CHORDS[family])[0]]
+    try:
+        root = ROOT_CHORDS[family]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ValueError(f"not a family: {family!r}") from None
+    row = [chord_row(root)[0]]
     while (image := invert(row[-1])) != row[0]:
         row.append(image)
     return tuple(row)
 
 
-# The label slot of a chord table row [chord, i, d, a, label].
-_LABEL = 4
-
-
-def _label_table(size: int) -> dict[Chord, ChordLabel]:
-    """Chord -> label over the size's family rows in ROOT_CHORDS order.
-
-    Each label is also written into its chord's table row, where
-    ``classify`` reads it.
-    """
-    labels = {}
-    for family, root in ROOT_CHORDS.items():
-        if len(root) == size:
-            for n, chord in enumerate(family_row(family)):
-                labels[chord] = chord_row(chord)[_LABEL] = ChordLabel(family, n)
-    return labels
-
-
-# chord size -> chord -> label, one table per size of a family root
+# chord size -> chord -> label, over the size's family rows in ROOT_CHORDS order
 _LABELS: dict[int, dict[Chord, ChordLabel]] = {
-    size: _label_table(size) for size in sorted({len(root) for root in ROOT_CHORDS.values()})
+    size: {
+        chord: ChordLabel(family, n)
+        for family, root in ROOT_CHORDS.items()
+        if len(root) == size
+        for n, chord in enumerate(family_row(family))
+    }
+    for size in (3, 4)
 }
 
 
@@ -192,9 +183,10 @@ def classify(chord: Chord) -> ChordLabel | None:
         k = len(chord)
     except TypeError:
         raise _rejection(chord) from None
-    if k not in _LABELS:
+    labels = _LABELS.get(k)
+    if labels is None:
         raise WrongArityError(f"classification covers three- and four-tone chords, got {k} tones")
-    return chord_row(chord)[_LABEL]
+    return labels.get(chord_row(chord)[0])
 
 
 def dual_pairing(family: Family) -> tuple[Family, int]:
@@ -203,8 +195,9 @@ def dual_pairing(family: Family) -> tuple[Family, int]:
     Returns (F', s) such that the n-th inversion of ``family`` maps under
     duality to inversion (s - n) mod r of F', where r is the partner's row
     length.  Derived from the tables, not hard-coded: e.g. the MM family is
-    self-dual with s = 3, and Major pairs with Minor with s = 2.
+    self-dual with s = 3, and Major pairs with Minor with s = 2.  Anything
+    but a family raises ValueError, as for :func:`family_row`.
     """
-    partner = classify(dual(ROOT_CHORDS[family]))
+    partner = classify(dual(family_row(family)[0]))
     assert partner is not None  # duality preserves the gap multiset
     return partner.family, partner.inversion

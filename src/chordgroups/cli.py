@@ -79,11 +79,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     from .graph import build_chord_graph, export_dot, export_json
 
-    chord_graph = build_chord_graph(include_dd=args.include_dd)
-    if args.format == "dot":
-        text = export_dot(chord_graph)
-    else:
-        text = export_json(chord_graph)
+    export = export_dot if args.format == "dot" else export_json
+    text = export(build_chord_graph(include_dd=args.include_dd))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

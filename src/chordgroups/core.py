@@ -20,6 +20,14 @@ is the one chord validation: ``make_chord``, the operators and ``classify``
 all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
 table itself, since they need no int check.  Only the converters between
 chords, compositions, partitions and text assume already-validated values.
+
+Everything the library fills on first use is a cache: the per-size tables
+of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``
+and ``gap_permutation``'s ``functools.cache``.  Dropping any of them at any
+time changes no public answer, compared by equality.  Identity does not
+survive a drop: the label tables' keys are ``make_chord``'s own tuples
+again only in a fresh process.  ``classify._LABELS`` and ``graph._PARTNER``
+are built at import and never written afterwards.
 """
 
 from __future__ import annotations
@@ -124,12 +132,10 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
 class _ChordTables(dict):
     """Chord size -> ``{chord: row}`` over every chord of that size, built on first use.
 
-    A row is ``[chord, i, d, a, label]``, and ``transform`` fills each
-    operator's slot on first use with the row of the chord's image, so each
-    chord tuple exists once and a walk from row to row hashes nothing.
-    ``classify`` writes each harmonic chord's label into its row once, when
-    it builds its label tables; the slot stays None on every other row.  A
-    size outside 1..12 has an empty table.  Sizes are built one at a time,
+    A row is ``[chord, i, d, a]``, and ``transform`` fills each operator's
+    slot on first use with the row of the chord's image, so each chord
+    tuple exists once and a walk from row to row hashes nothing.  A size
+    outside 1..12 has an empty table.  Sizes are built one at a time,
     on first lookup, so that a caller pays only for the sizes it uses.
     """
 
@@ -137,7 +143,7 @@ class _ChordTables(dict):
         if not 1 <= k <= OCTAVE:
             return {}
         chords = [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
-        table = {chord: [chord, None, None, None, None] for chord in chords}
+        table = {chord: [chord, None, None, None] for chord in chords}
         return self.setdefault(k, table)  # two threads building k keep one table
 
 

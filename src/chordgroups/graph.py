@@ -219,8 +219,8 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     """The gap-relabelling map between the two 12-node components.
 
     Raises IsomorphismViolationError unless it preserves every edge, operator
-    included.  An edge from a component to any value outside it, or to a
-    value that cannot be hashed, breaks it too.
+    included.  An edge from a component to any value outside it, or an
+    edge with an end that is no node's id, breaks it too.
     """
     id_of = {node.chord: node.id for node in graph.nodes}
     mapping: dict[str, str] = {}
@@ -245,8 +245,10 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
                 raise IsomorphismViolationError(
                     f"edge leaves its component: {(source, target, op)}"
                 )
+            elif source not in graph._by_id or target not in graph._by_id:
+                raise IsomorphismViolationError(f"edge ends at no node: {(source, target, op)}")
             else:
-                continue  # no end in either component, such as the dd chord's self-loops
+                continue  # in neither component: the dd chord's self-loops
         except TypeError:  # an end that cannot be hashed
             raise IsomorphismViolationError(
                 f"edge ends at no node: {(source, target, op)}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -250,6 +251,15 @@ class TestDualPairing:
             for n, chord in enumerate(family_row(family)):
                 label = classify(dual(chord))
                 assert label == ChordLabel(partner, (shift - n) % row_length)
+
+
+@pytest.mark.parametrize("function", [family_row, dual_pairing])
+@pytest.mark.parametrize("value", ["Major", 5, [0, 4, 7]], ids=repr)
+def test_a_value_that_is_not_a_family_raises_value_error(function, value):
+    with pytest.raises(ValueError, match=re.escape(f"not a family: {value!r}")) as excinfo:
+        function(value)
+    assert excinfo.type is ValueError
+    assert excinfo.value.__suppress_context__  # no stray KeyError or TypeError in the traceback
 
 
 class TestLabelText:

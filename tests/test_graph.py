@@ -310,6 +310,16 @@ class TestIsomorphism:
         with pytest.raises(IsomorphismViolationError, match=re.escape(named)):
             component_isomorphism(ChordGraph(graph.nodes, graph.edges + (stray,)))
 
+    # only the dd chord's self-loops lie outside both components; any other
+    # edge there must still end at nodes
+    @pytest.mark.parametrize("source, target", [(None, "XX0"), ("XX0", "XX1"), ("dd0", "XX0")])
+    def test_an_edge_outside_both_components_must_end_at_nodes(self, source, target):
+        graph = build_chord_graph(include_dd=True)
+        stray = GraphEdge(source, target, Operator.DUALITY)
+        named = f"edge ends at no node: {(source, target, Operator.DUALITY)}"
+        with pytest.raises(IsomorphismViolationError, match=re.escape(named)):
+            component_isomorphism(ChordGraph(graph.nodes, graph.edges + (stray,)))
+
     def test_missing_partner_node_is_a_violation(self, graph):
         nodes = tuple(n for n in graph.nodes if n.id != "mm0")
         edges = tuple(e for e in graph.edges if "mm0" not in (e.source, e.target))

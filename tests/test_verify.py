@@ -368,3 +368,77 @@ def _failures() -> dict[str, str]:
 def test_triads_and_sevenths_name_what_broke(monkeypatch, plant, failures):
     plant(monkeypatch)
     assert _failures() == failures
+
+
+def _plant_call(monkeypatch, name: str, change) -> None:
+    """Replace verify's ``name`` by one that passes the real result through ``change``."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: change(real(*args)))
+
+
+# One fault per failure line of chord-counts, permutation-closure, table-1's
+# row branch, spot-checks and dual-pairing.  An operator fault is seen by
+# relations(k) as well, and a short table of 5-tone chords by partition-fibers;
+# no other check fails.
+@pytest.mark.parametrize(
+    "plant, failures",
+    [
+        pytest.param(
+            lambda mp: _plant_value(mp, "enumerate_chords", 5, enumerate_chords(5)[:-1]),
+            {
+                "chord-counts": "k=5: 329 != 330",
+                "partition-fibers": "fibers do not tile the k=5 chords",
+            },
+            id="chord-counts-lose-a-chord",
+        ),
+        pytest.param(
+            lambda mp: _plant_call(mp, "orbit", lambda members: members[:-1]),
+            {"permutation-closure": "closure has 23 elements"},
+            id="permutation-closure-loses-a-member",
+        ),
+        pytest.param(
+            lambda mp: _plant_value(
+                mp, "family_row", TriadFamily.MAJOR, ((0, 4, 7), (0, 5, 9), (0, 3, 8))
+            ),
+            {
+                "table-1": "Major row is ((0, 4, 7), (0, 5, 9), (0, 3, 8))",
+                "dual-pairing": "dual of Major1 is Minor0",
+            },
+            id="table-1-reorders-a-row",
+        ),
+        pytest.param(
+            lambda mp: _plant(mp, "invert", {(0, 4, 7): (0, 4, 7)}),
+            {
+                "relations(k=3)": "inversion is not rotate-left at (0, 4, 7)",
+                "spot-checks": "(0, 4, 7) != (0, 3, 8)",
+            },
+            id="spot-checks-catch-a-fixed-major-triad",
+        ),
+        pytest.param(
+            lambda mp: _plant_value(mp, "dual_pairing", SeventhFamily.MM, (SeventhFamily.MM, 1)),
+            {"dual-pairing": "MM pairs as (<SeventhFamily.MM: 'MM'>, 1)"},
+            id="dual-pairing-shifts-a-family",
+        ),
+        # MM1's dual is MM2; the planted images mM0 and MM0 keep MM1's
+        # partition, so composition-action passes
+        pytest.param(
+            lambda mp: _plant(mp, "dual", {(0, 3, 7, 8): (0, 3, 7, 11)}),
+            {
+                "relations(k=4)": "duality is not reverse at (0, 3, 7, 8)",
+                "dual-pairing": "dual of MM1 left the partner family",
+            },
+            id="dual-pairing-leaves-the-family",
+        ),
+        pytest.param(
+            lambda mp: _plant(mp, "dual", {(0, 3, 7, 8): (0, 4, 7, 11)}),
+            {
+                "relations(k=4)": "duality is not reverse at (0, 3, 7, 8)",
+                "dual-pairing": "dual of MM1 is MM0",
+            },
+            id="dual-pairing-moves-the-inversion",
+        ),
+    ],
+)
+def test_the_other_failure_lines_name_what_broke(monkeypatch, plant, failures):
+    plant(monkeypatch)
+    assert _failures() == failures
