@@ -26,7 +26,8 @@ of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``
 and ``gap_permutation``'s ``functools.cache``.  Dropping any of them at any
 time changes no public answer, compared by equality.  Identity does not
 survive a drop: the label tables' keys are ``make_chord``'s own tuples
-again only in a fresh process.  ``classify._LABELS`` and ``graph._PARTNER``
+again only in a fresh process.  ``classify._LABELS``, ``graph._PARTNER``
+and the graph's node and edge tables ``graph._NODES`` and ``graph._EDGES``
 are built at import and never written afterwards.
 """
 

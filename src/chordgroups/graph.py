@@ -10,10 +10,16 @@ operators, which permute gap positions.  The relabelling 1->4, 3->2, 4->3
 is a second isomorphism that shifts the inversion index; it is not returned.
 ``_PARTNER`` holds the first one as a chord-to-chord table.
 
-``build_chord_graph`` walks the nodes once, in id order, and maps each
-operator over their chords.  An operator is a function on the nodes, so a
-node is the source of at most one edge per operator: the walk emits each
-operator's edges already sorted by source, then target, and needs no sort.
+The graph is a constant of the twelve-tone domain, so its parts are
+derived once, at import: one walk over the labeled tetrads in id order maps
+each operator over their chords.  An operator is a function on the nodes,
+so a node is the source of at most one edge per operator: the walk emits
+each operator's edges already sorted by source, then target, and needs no
+sort.  ``_NODES`` keeps each node as a ``(chord, label)`` pair and
+``_EDGES`` each edge as a ``(source id, target id, operator)`` triple, per
+``include_dd``; the variant without dd drops its node and three self-loops.
+``build_chord_graph`` only constructs new Records from them: it calls no
+operator and reads no chord-table row.
 
 ``export_json`` writes its two-space, sorted-key layout itself, escaping
 strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
@@ -27,7 +33,7 @@ class costs a Python-level lookup on every pass.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import starmap
 
 from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
 from .core import (
@@ -128,34 +134,57 @@ _graph_nodes, _graph_edges, _graph_by_id = (
 
 _FAMILY_ORDER = {family: index for index, family in enumerate(ROOT_CHORDS)}
 _OP_ORDER = {op: index for index, op in enumerate(Operator)}
-_ID = attrgetter("id")
+
+
+def _graph_parts() -> tuple[dict[bool, tuple], dict[bool, tuple]]:
+    """The nodes as (chord, label) pairs and the edges as triples, per ``include_dd``."""
+    nodes = tuple(seventh_table().items())
+    # An involution edge is stored from the endpoint whose key sorts first:
+    # case-insensitive first so output order is stable across families like
+    # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
+    endpoint = {
+        chord: (str(label).lower(), str(label))
+        for chord, label in sorted(nodes, key=lambda node: str(node[1]))
+    }
+    chords, keys = list(endpoint), list(endpoint.values())
+    edges = []
+    for op, image_of in ((_INVERSION, invert), (_DUALITY, dual), (_AUGDIM, augdim)):
+        for key, image in zip(keys, map(endpoint.__getitem__, map(image_of, chords))):
+            if op is _INVERSION or key <= image:
+                edges.append((key[1], image[1], op))
+    without_dd = tuple([(chord, label) for chord, label in nodes if label.family is not _DD])
+    # dd is fixed by all three operators, so its only edges are its three self-loops
+    ids = {str(label) for _, label in without_dd}
+    return (
+        {True: nodes, False: without_dd},
+        {True: tuple(edges), False: tuple([edge for edge in edges if edge[0] in ids])},
+    )
+
+
+_NODES, _EDGES = _graph_parts()
 
 
 def build_chord_graph(include_dd: bool = False) -> ChordGraph:
     """Build the labeled graph over the harmonic four-tone chords.
 
     The dd chord is fixed by all three operators, so by default it is left
-    out; with ``include_dd`` it appears as an isolated node with three
-    self-loops.  Nodes come in the label table's family, then inversion
-    order.  Edges come grouped by operator (i, d, a), each group sorted by
-    source, then target.
+    out; with any true ``include_dd`` it appears as an isolated node with
+    three self-loops.  Nodes come in the label table's family, then
+    inversion order.  Edges come grouped by operator (i, d, a), each group
+    sorted by source, then target.  The nodes and edges are derived once,
+    at import; each call constructs new Records from them.
     """
-    nodes = [
-        GraphNode(chord, label)
-        for chord, label in seventh_table().items()
-        if include_dd or label.family is not _DD
-    ]
-    # An involution edge is stored from the endpoint whose key sorts first:
-    # case-insensitive first so output order is stable across families like
-    # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
-    endpoint = {node.chord: (node.id.lower(), node.id) for node in sorted(nodes, key=_ID)}
-    chords, keys = list(endpoint), list(endpoint.values())
-    edges: list[GraphEdge] = []
-    for op, image_of in ((_INVERSION, invert), (_DUALITY, dual), (_AUGDIM, augdim)):
-        for key, image in zip(keys, map(endpoint.__getitem__, map(image_of, chords))):
-            if op is _INVERSION or key <= image:
-                edges.append(GraphEdge(key[1], image[1], op))
-    return ChordGraph(tuple(nodes), tuple(edges))
+    include_dd = bool(include_dd)
+    return ChordGraph(
+        tuple(starmap(GraphNode, _NODES[include_dd])),
+        tuple(starmap(GraphEdge, _EDGES[include_dd])),
+    )
+
+
+def _check_graph(graph: object) -> None:
+    """Raise the documented ValueError unless ``graph`` is a ChordGraph."""
+    if not isinstance(graph, ChordGraph):
+        raise ValueError(f"not a chord graph: {graph!r}")
 
 
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
@@ -164,8 +193,10 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     Each component lists its nodes in family, then inversion order.
 
     Raises ValueError, naming the edge, if an edge has an endpoint that is
-    not one of the graph's nodes.
+    not one of the graph's nodes, and ValueError for a value that is not a
+    ChordGraph.
     """
+    _check_graph(graph)
     # node ids in (family, inversion) order, ranked through the family table
     ranked = sorted(
         [(_FAMILY_ORDER[node.label.family], node.label.inversion, node.id) for node in graph.nodes]
@@ -220,8 +251,10 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
 
     Raises IsomorphismViolationError unless it preserves every edge, operator
     included.  An edge from a component to any value outside it, or an
-    edge with an end that is no node's id, breaks it too.
+    edge with an end that is no node's id, breaks it too.  A value that is
+    not a ChordGraph raises ValueError.
     """
+    _check_graph(graph)
     id_of = {node.chord: node.id for node in graph.nodes}
     mapping: dict[str, str] = {}
     for chord, node_id in id_of.items():
@@ -272,7 +305,11 @@ _DOT_ATTRS = {
 
 
 def export_dot(graph: ChordGraph) -> str:
-    """Graphviz DOT text: i solid directed, d solid bidirectional, a dashed bidirectional."""
+    """Graphviz DOT text: i solid directed, d solid bidirectional, a dashed bidirectional.
+
+    A value that is not a ChordGraph raises ValueError.
+    """
+    _check_graph(graph)
     lines = ["digraph chord_graph {"]
     lines += [f"  {node.id}" for node in graph.nodes]
     lines += [f"  {edge.source} -> {edge.target} [{_DOT_ATTRS[edge.op]}]" for edge in graph.edges]
@@ -309,8 +346,10 @@ def export_json(graph: ChordGraph) -> str:
 
     The text is ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
     sort_keys=True) + "\\n"``, byte for byte: two-space indent, keys sorted,
-    strings ASCII-escaped, an empty array written ``[]``.
+    strings ASCII-escaped, an empty array written ``[]``.  A value that is
+    not a ChordGraph raises ValueError.
     """
+    _check_graph(graph)
     from json.encoder import encode_basestring_ascii as quote
 
     nodes = [

@@ -116,15 +116,25 @@ class TestBuild:
         ]
         assert [n.id for n in graph_with_dd.nodes] == expected
 
-    def test_every_call_builds_a_new_graph(self):
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_every_call_builds_a_new_graph(self, include_dd):
         # equal values, but nothing is shared or cached between calls
-        first, second = build_chord_graph(), build_chord_graph()
+        first, second = build_chord_graph(include_dd), build_chord_graph(include_dd)
         assert first == second
         assert first is not second
         assert first._by_id == second._by_id
         assert first._by_id is not second._by_id
-        assert first.nodes[0] is not second.nodes[0]
-        assert first.edges[0] is not second.edges[0]
+        assert all(a is not b for a, b in zip(first.nodes, second.nodes))
+        assert all(a is not b for a, b in zip(first.edges, second.edges))
+
+    # any true value includes dd and any false one leaves it out, as a bool does
+    @pytest.mark.parametrize(
+        "include_dd, dd",
+        [(1, True), ("yes", True), ([1], True), (0, False), ("", False), (None, False), ([], False)],
+        ids=repr,
+    )
+    def test_include_dd_is_read_by_truthiness(self, include_dd, dd):
+        assert build_chord_graph(include_dd) == build_chord_graph(dd)
 
     # dd0 is a label, but not a node without include_dd; a list cannot be hashed
     @pytest.mark.parametrize("node_id", ["dd0", "XX0", 0, ["MM0"]], ids=repr)
@@ -132,6 +142,19 @@ class TestBuild:
         with pytest.raises(KeyError) as excinfo:
             graph.node(node_id)
         assert excinfo.value.args == (node_id,)
+
+
+# a value that is not a ChordGraph, a tuple of its nodes included
+@pytest.mark.parametrize(
+    "function", [connected_components, component_isomorphism, export_dot, export_json]
+)
+@pytest.mark.parametrize(
+    "value", [None, 5, "graph", build_chord_graph().nodes], ids=["None", "5", "str", "nodes"]
+)
+def test_a_value_that_is_no_graph_is_a_value_error(function, value):
+    with pytest.raises(ValueError, match=re.escape(f"not a chord graph: {value!r}")) as excinfo:
+        function(value)
+    assert excinfo.type is ValueError
 
 
 class TestEdgeOrder:
