@@ -27,15 +27,16 @@ and ``gap_permutation``'s ``functools.cache``.  Dropping any of them at any
 time changes no public answer, compared by equality.  Identity does not
 survive a drop: the label tables' keys are ``make_chord``'s own tuples
 again only in a fresh process.  ``classify._LABELS``, ``graph._PARTNER``
-and the graph's node and edge tables ``graph._NODES`` and ``graph._EDGES``
-are built at import and never written afterwards.
+and the graph's node and edge Records in ``graph._NODES`` and
+``graph._EDGES`` are built at import, never written afterwards and shared
+by every call that returns them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations
 from operator import sub
-from typing import Iterable, Iterator
 
 OCTAVE = 12
 
@@ -51,12 +52,9 @@ class Record:
     dataclass does: equal only to an instance of the same class, hashed as
     the tuple of field values, shown as ``Name(field=value, ...)``.  Each
     subclass's ``__init__`` sets every slot once, fields first, then any
-    value derived from them, through the slot descriptor's ``__set__``: the
-    defining module binds it once per slot, as a module alias such as
-    ``_node_id = GraphNode.id.__set__``.  That skips ``__setattr__``, which
-    refuses every assignment, and costs no lookup by name, as
-    ``object.__setattr__(self, "id", ...)`` does on every call.  Pickling
-    and copying rebuild the value through the constructor.
+    value derived from them, with ``object.__setattr__``, since its own
+    ``__setattr__`` refuses every assignment.  Pickling and copying rebuild
+    the value through the constructor.
 
     ``ChordLabel`` and the graph's values are not dataclasses, whose import
     pulls ``inspect`` and ``ast`` into every one-shot CLI command.  Nor are

@@ -10,16 +10,17 @@ operators, which permute gap positions.  The relabelling 1->4, 3->2, 4->3
 is a second isomorphism that shifts the inversion index; it is not returned.
 ``_PARTNER`` holds the first one as a chord-to-chord table.
 
-The graph is a constant of the twelve-tone domain, so its parts are
-derived once, at import: one walk over the labeled tetrads in id order maps
-each operator over their chords.  An operator is a function on the nodes,
-so a node is the source of at most one edge per operator: the walk emits
-each operator's edges already sorted by source, then target, and needs no
-sort.  ``_NODES`` keeps each node as a ``(chord, label)`` pair and
-``_EDGES`` each edge as a ``(source id, target id, operator)`` triple, per
-``include_dd``; the variant without dd drops its node and three self-loops.
-``build_chord_graph`` only constructs new Records from them: it calls no
-operator and reads no chord-table row.
+The graph is a constant of the twelve-tone domain, so its node and edge
+Records are built once, at import: one walk over the labeled tetrads in id
+order maps each operator over their chords.  An operator is a function on
+the nodes, so a node is the source of at most one edge per operator: the
+walk emits each operator's edges already sorted by source, then target, and
+needs no sort.  ``_NODES`` and ``_EDGES`` hold the ``GraphNode`` and
+``GraphEdge`` Records per ``include_dd``; the variant without dd holds the
+same Records less dd's node and three self-loops.  The Records are
+immutable and shared, as ``classify`` shares its labels: each
+``build_chord_graph`` call constructs only a new ``ChordGraph``, with its
+own id index, and calls no operator.
 
 ``export_json`` writes its two-space, sorted-key layout itself, escaping
 strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
@@ -33,7 +34,7 @@ class costs a Python-level lookup on every pass.
 
 from __future__ import annotations
 
-from itertools import starmap
+from collections.abc import Iterable
 
 from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
 from .core import (
@@ -64,16 +65,9 @@ class GraphNode(Record):
     id: str
 
     def __init__(self, chord: Chord, label: ChordLabel) -> None:
-        _node_chord(self, chord)
-        _node_label(self, label)
-        _node_id(self, str(label))
-
-
-_node_chord, _node_label, _node_id = (
-    GraphNode.chord.__set__,
-    GraphNode.label.__set__,
-    GraphNode.id.__set__,
-)
+        object.__setattr__(self, "chord", chord)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "id", str(label))
 
 
 class GraphEdge(Record):
@@ -85,9 +79,9 @@ class GraphEdge(Record):
     op: Operator
 
     def __init__(self, source: str, target: str, op: Operator) -> None:
-        _edge_source(self, source)
-        _edge_target(self, target)
-        _edge_op(self, op)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "op", op)
 
     @property
     def directed(self) -> bool:
@@ -95,24 +89,20 @@ class GraphEdge(Record):
         return self.op is _INVERSION
 
 
-_edge_source, _edge_target, _edge_op = (
-    GraphEdge.source.__set__,
-    GraphEdge.target.__set__,
-    GraphEdge.op.__set__,
-)
-
-
 class ChordGraph(Record):
+    """Nodes and edges, kept as tuples whatever iterables they come in, indexed by node id."""
+
     __slots__ = ("nodes", "edges", "_by_id")
     __match_args__ = ("nodes", "edges")
 
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
-    def __init__(self, nodes: tuple[GraphNode, ...], edges: tuple[GraphEdge, ...]) -> None:
-        _graph_nodes(self, nodes)
-        _graph_edges(self, edges)
-        _graph_by_id(self, {node.id: node for node in nodes})
+    def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]) -> None:
+        nodes = tuple(nodes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_by_id", {node.id: node for node in nodes})
 
     def node(self, node_id: str) -> GraphNode:
         """The node whose id is ``node_id``; raises KeyError(node_id) if there is none.
@@ -125,39 +115,31 @@ class ChordGraph(Record):
             raise KeyError(node_id) from None
 
 
-_graph_nodes, _graph_edges, _graph_by_id = (
-    ChordGraph.nodes.__set__,
-    ChordGraph.edges.__set__,
-    ChordGraph._by_id.__set__,
-)
-
-
 _FAMILY_ORDER = {family: index for index, family in enumerate(ROOT_CHORDS)}
 _OP_ORDER = {op: index for index, op in enumerate(Operator)}
 
 
 def _graph_parts() -> tuple[dict[bool, tuple], dict[bool, tuple]]:
-    """The nodes as (chord, label) pairs and the edges as triples, per ``include_dd``."""
-    nodes = tuple(seventh_table().items())
+    """The graph's node and edge Records, per ``include_dd``."""
+    nodes = tuple([GraphNode(chord, label) for chord, label in seventh_table().items()])
     # An involution edge is stored from the endpoint whose key sorts first:
     # case-insensitive first so output order is stable across families like
     # dm/Mm; the case-sensitive tiebreak resolves pairs such as MM3/mM3.
     endpoint = {
-        chord: (str(label).lower(), str(label))
-        for chord, label in sorted(nodes, key=lambda node: str(node[1]))
+        node.chord: (node.id.lower(), node.id) for node in sorted(nodes, key=lambda n: n.id)
     }
     chords, keys = list(endpoint), list(endpoint.values())
     edges = []
     for op, image_of in ((_INVERSION, invert), (_DUALITY, dual), (_AUGDIM, augdim)):
         for key, image in zip(keys, map(endpoint.__getitem__, map(image_of, chords))):
             if op is _INVERSION or key <= image:
-                edges.append((key[1], image[1], op))
-    without_dd = tuple([(chord, label) for chord, label in nodes if label.family is not _DD])
+                edges.append(GraphEdge(key[1], image[1], op))
+    without_dd = tuple([node for node in nodes if node.label.family is not _DD])
     # dd is fixed by all three operators, so its only edges are its three self-loops
-    ids = {str(label) for _, label in without_dd}
+    ids = {node.id for node in without_dd}
     return (
         {True: nodes, False: without_dd},
-        {True: tuple(edges), False: tuple([edge for edge in edges if edge[0] in ids])},
+        {True: tuple(edges), False: tuple([edge for edge in edges if edge.source in ids])},
     )
 
 
@@ -171,14 +153,11 @@ def build_chord_graph(include_dd: bool = False) -> ChordGraph:
     out; with any true ``include_dd`` it appears as an isolated node with
     three self-loops.  Nodes come in the label table's family, then
     inversion order.  Edges come grouped by operator (i, d, a), each group
-    sorted by source, then target.  The nodes and edges are derived once,
-    at import; each call constructs new Records from them.
+    sorted by source, then target.  The node and edge Records are built
+    once, at import, and shared; each call constructs only a new ChordGraph.
     """
     include_dd = bool(include_dd)
-    return ChordGraph(
-        tuple(starmap(GraphNode, _NODES[include_dd])),
-        tuple(starmap(GraphEdge, _EDGES[include_dd])),
-    )
+    return ChordGraph(_NODES[include_dd], _EDGES[include_dd])
 
 
 def _check_graph(graph: object) -> None:

@@ -33,9 +33,9 @@ walk that raises stores nothing, so every error is as without the memo.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from functools import cache
-from typing import Iterable
 
 from .core import CHORD_TABLES, OCTAVE, Chord, WrongArityError, chord_row
 

@@ -21,8 +21,8 @@ its orbit per ordering.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from math import comb
-from typing import Callable
 
 from .classify import (
     ROOT_CHORDS,

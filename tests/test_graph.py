@@ -118,14 +118,27 @@ class TestBuild:
 
     @pytest.mark.parametrize("include_dd", [False, True])
     def test_every_call_builds_a_new_graph(self, include_dd):
-        # equal values, but nothing is shared or cached between calls
+        # equal values; the immutable node and edge Records are shared, but
+        # each graph has its own id index
         first, second = build_chord_graph(include_dd), build_chord_graph(include_dd)
         assert first == second
         assert first is not second
         assert first._by_id == second._by_id
         assert first._by_id is not second._by_id
-        assert all(a is not b for a, b in zip(first.nodes, second.nodes))
-        assert all(a is not b for a, b in zip(first.edges, second.edges))
+        # so emptying one graph's index leaves every other graph answering
+        first._by_id.clear()
+        assert second.node("MM0").id == build_chord_graph(include_dd).node("MM0").id == "MM0"
+
+    # ChordGraph keeps its nodes and edges as tuples, whatever iterables it is given
+    def test_a_graph_built_from_a_generator_keeps_its_nodes(self, graph):
+        rebuilt = ChordGraph((node for node in graph.nodes), (edge for edge in graph.edges))
+        assert rebuilt == graph
+        assert export_dot(rebuilt) == export_dot(graph)
+
+    def test_a_graph_built_from_lists_equals_and_hashes_as_from_tuples(self, graph):
+        rebuilt = ChordGraph(list(graph.nodes), list(graph.edges))
+        assert rebuilt == graph
+        assert hash(rebuilt) == hash(graph)
 
     # any true value includes dd and any false one leaves it out, as a bool does
     @pytest.mark.parametrize(

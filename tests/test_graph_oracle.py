@@ -3,8 +3,10 @@
 VF2 (Cordella et al., 2004) lists every operator-preserving isomorphism
 between the two 12-node components, so these tests can say how many there
 are and which one ``component_isomorphism`` returns.  networkx's own
-``connected_components`` checks ours on random edge subsets.  networkx is
-a test-only dependency; without it the module is skipped.
+``connected_components`` checks ours on random edge subsets, and its
+diameters and eccentricities give each component's distances, the
+paper's "concept of distance", as literal data.  networkx is a test-only
+dependency; without it the module is skipped.
 """
 
 from __future__ import annotations
@@ -119,3 +121,28 @@ def test_components_match_networkx_on_any_edge_subset(data, include_dd):
     ranks = [[rank[node.id] for node in component] for component in components]
     assert all(r == sorted(r) for r in ranks)
     assert ranks == sorted(ranks, key=lambda r: (-len(r), r[0]))
+
+
+# The paper's distance on each 12-node component, measured with networkx:
+# directed, an i edge runs one way and a d or a edge both ways; undirected,
+# every edge runs both ways.  Listed upper component first.
+DIRECTED_DIAMETER = 4
+UNDIRECTED_DIAMETER = 3
+DIRECTED_ECCENTRICITIES = {3, 4}
+UNDIRECTED_ECCENTRICITIES = {3}
+# the nodes of directed eccentricity 4; every other node's is 3
+FARTHEST = [{"MM1", "MM3", "mM2", "AM1"}, {"Mm2", "dm1", "mm1", "mm3"}]
+
+
+def test_component_distances_match_networkx(graph):
+    components = [c for c in connected_components(graph) if len(c) == 12]
+    assert len(components) == len(FARTHEST)
+    for component, farthest in zip(components, FARTHEST):
+        directed = _arcs(graph, component)
+        undirected = nx.Graph(directed)  # a d or a edge's two arcs become one edge
+        assert nx.diameter(directed) == DIRECTED_DIAMETER
+        assert nx.diameter(undirected) == UNDIRECTED_DIAMETER
+        eccentricity = nx.eccentricity(directed)
+        assert set(eccentricity.values()) == DIRECTED_ECCENTRICITIES
+        assert {node for node, e in eccentricity.items() if e == 4} == farthest
+        assert set(nx.eccentricity(undirected).values()) == UNDIRECTED_ECCENTRICITIES

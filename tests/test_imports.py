@@ -33,6 +33,10 @@ JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
     ids=["classify", "graph-dot", "verify", "graph-json"],
 )
 def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
+    # The child runs without site (-S), whose start-up can import typing
+    # itself, so that what is loaded is what the command loaded; no command
+    # loads typing.
+    watched = (*watched, "typing")
     # runpy.run_module is what ``python -m chordgroups`` runs.
     code = (
         "import contextlib, io, runpy, sys\n"
@@ -46,7 +50,7 @@ def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
         "print(out.getvalue().splitlines()[0])\n"
         f"print(sorted(set({watched!r}) & set(sys.modules)))\n"
     )
-    assert run_python("-c", code).stdout == f"{first_line}\n{sorted(loaded)}\n"
+    assert run_python("-S", "-c", code).stdout == f"{first_line}\n{sorted(loaded)}\n"
 
 
 def test_graph_names_load_on_first_use_without_json():
