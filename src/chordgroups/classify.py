@@ -78,7 +78,8 @@ class ChordLabel(Record):
     """A family plus an inversion index; 0 is root position.
 
     The text form concatenates the two, e.g. ``"MM0"`` or ``"Major2"``; it
-    is built once, with the label.
+    is built once, with the label.  Anything but a family member and an int
+    (bools excluded) raises ValueError.
     """
 
     __slots__ = ("family", "inversion", "_text")
@@ -88,6 +89,8 @@ class ChordLabel(Record):
     inversion: int
 
     def __init__(self, family: Family, inversion: int) -> None:
+        if not isinstance(family, Family) or type(inversion) is not int:
+            raise ValueError(f"not a chord label: {family!r}, {inversion!r}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "inversion", inversion)
         object.__setattr__(self, "_text", f"{family.value}{inversion}")

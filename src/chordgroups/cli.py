@@ -6,9 +6,7 @@ an operator meets a chord of the wrong size.
 
 ``graph`` and ``verify`` are imported by their own commands only, so the
 one-shot commands (classify, apply, orbit, partition, enumerate) load no
-more than ``core``, ``transform`` and ``classify``.  ``json`` loads only on
-the first ``export_json`` call, so of all the commands only
-``graph --format json`` imports it.
+more than ``core``, ``transform`` and ``classify``.  No command loads ``json``.
 """
 
 from __future__ import annotations

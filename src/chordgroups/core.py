@@ -26,10 +26,10 @@ of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``
 and ``gap_permutation``'s ``functools.cache``.  Dropping any of them at any
 time changes no public answer, compared by equality.  Identity does not
 survive a drop: the label tables' keys are ``make_chord``'s own tuples
-again only in a fresh process.  ``classify._LABELS``, ``graph._PARTNER``
-and the graph's node and edge Records in ``graph._NODES`` and
-``graph._EDGES`` are built at import, never written afterwards and shared
-by every call that returns them.
+again only in a fresh process.  ``classify._LABELS``, ``graph._PARTNER``,
+the graph's node and edge Records in ``graph._NODES`` and ``graph._EDGES``
+and its two graphs in ``graph._GRAPHS`` are built at import, never written
+afterwards and shared by every call that returns them.
 """
 
 from __future__ import annotations

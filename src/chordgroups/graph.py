@@ -10,36 +10,36 @@ operators, which permute gap positions.  The relabelling 1->4, 3->2, 4->3
 is a second isomorphism that shifts the inversion index; it is not returned.
 ``_PARTNER`` holds the first one as a chord-to-chord table.
 
-The graph is a constant of the twelve-tone domain, so its node and edge
-Records are built once, at import: one walk over the labeled tetrads in id
-order maps each operator over their chords.  An operator is a function on
-the nodes, so a node is the source of at most one edge per operator: the
-walk emits each operator's edges already sorted by source, then target, and
-needs no sort.  ``_NODES`` and ``_EDGES`` hold the ``GraphNode`` and
-``GraphEdge`` Records per ``include_dd``; the variant without dd holds the
-same Records less dd's node and three self-loops.  The Records are
-immutable and shared, as ``classify`` shares its labels: each
-``build_chord_graph`` call constructs only a new ``ChordGraph``, with its
-own id index, and calls no operator.
+Each value is checked once, by its constructor, so the functions that read
+a graph check only that they were given one.  The graph is a constant of
+the twelve-tone domain, so both variants are built once, at import: one
+walk over the labeled tetrads in id order maps each operator over their
+chords.  An operator is a function on the nodes, so a node is the source of
+at most one edge per operator: the walk emits each operator's edges already
+sorted by source, then target, and needs no sort.  ``_NODES`` and
+``_EDGES`` hold the ``GraphNode`` and ``GraphEdge`` Records per
+``include_dd``, the variant without dd less dd's node and three self-loops,
+and ``_GRAPHS`` the two ``ChordGraph`` values, immutable and shared, as
+``classify`` shares its labels: ``build_chord_graph`` constructs nothing.
 
-``export_json`` writes its two-space, sorted-key layout itself, escaping
-strings to ASCII: the bytes are exactly ``json.dumps(document, indent=2,
-sort_keys=True) + "\n"``, without the pure-Python encoder that ``indent``
-selects.  It imports its string escaper from ``json.encoder`` on its first
-call, so ``json`` loads only for a JSON export: building, searching and
-DOT-exporting the graph, and ``verify``, run without it.  The hot loops
-read enum members through module aliases, because reading one off its
-class costs a Python-level lookup on every pass.
+``export_json`` writes its two-space, sorted-key layout itself: the bytes
+are exactly ``json.dumps(document, indent=2, sort_keys=True) + "\n"``,
+without the pure-Python encoder that ``indent`` selects.  A node id is a
+family's value and an int, so no string needs escaping and ``json`` never
+loads.  The hot loops read enum members through module aliases, because
+reading one off its class costs a Python-level lookup on every pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from types import MappingProxyType
 
 from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
 from .core import (
     Chord,
     Record,
+    chord_row,
     chord_to_composition,
     chords_of_partition,
     composition_to_chord,
@@ -55,7 +55,11 @@ class IsomorphismViolationError(Exception):
 
 
 class GraphNode(Record):
-    """A labeled harmonic tetrad; its ``id`` is the label's text."""
+    """A labeled chord, its ``id`` the label's text.
+
+    A chord that ``core.chord_row`` rejects raises its InvalidChordError, and
+    a label that is not a ChordLabel raises ValueError.
+    """
 
     __slots__ = ("chord", "label", "id")
     __match_args__ = ("chord", "label")
@@ -65,12 +69,17 @@ class GraphNode(Record):
     id: str
 
     def __init__(self, chord: Chord, label: ChordLabel) -> None:
+        chord = chord_row(chord)[0]
+        if not isinstance(label, ChordLabel):
+            raise ValueError(f"not a chord label: {label!r}")
         object.__setattr__(self, "chord", chord)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "id", str(label))
 
 
 class GraphEdge(Record):
+    """``op`` from node id ``source`` to ``target``; other kinds of value raise ValueError."""
+
     __slots__ = ("source", "target", "op")
     __match_args__ = ("source", "target", "op")
 
@@ -79,6 +88,8 @@ class GraphEdge(Record):
     op: Operator
 
     def __init__(self, source: str, target: str, op: Operator) -> None:
+        if type(source) is not str or type(target) is not str or not isinstance(op, Operator):
+            raise ValueError(f"not a graph edge: {source!r}, {target!r}, {op!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "op", op)
@@ -90,7 +101,10 @@ class GraphEdge(Record):
 
 
 class ChordGraph(Record):
-    """Nodes and edges, kept as tuples whatever iterables they come in, indexed by node id."""
+    """Nodes and edges, kept as tuples whatever iterables they come in, indexed by node id.
+
+    Anything but GraphNodes with distinct ids and GraphEdges between them raises ValueError.
+    """
 
     __slots__ = ("nodes", "edges", "_by_id")
     __match_args__ = ("nodes", "edges")
@@ -99,10 +113,24 @@ class ChordGraph(Record):
     edges: tuple[GraphEdge, ...]
 
     def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]) -> None:
-        nodes = tuple(nodes)
+        try:
+            nodes, edges = tuple(nodes), tuple(edges)
+        except TypeError:  # a value that is not iterable
+            raise ValueError(f"not nodes and edges: {nodes!r}, {edges!r}") from None
+        by_id: dict[str, GraphNode] = {}
+        for node in nodes:
+            if not isinstance(node, GraphNode) or node.id in by_id:
+                raise ValueError(f"not a graph node, or a repeated id: {node!r}")
+            by_id[node.id] = node
+        for edge in edges:
+            if not isinstance(edge, GraphEdge):
+                raise ValueError(f"not a graph edge: {edge!r}")
+            for end in (edge.source, edge.target):
+                if end not in by_id:
+                    raise ValueError(f"{edge!r} ends at {end!r}, which is not a node")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_by_id", {node.id: node for node in nodes})
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_by_id", MappingProxyType(by_id))
 
     def node(self, node_id: str) -> GraphNode:
         """The node whose id is ``node_id``; raises KeyError(node_id) if there is none.
@@ -144,20 +172,20 @@ def _graph_parts() -> tuple[dict[bool, tuple], dict[bool, tuple]]:
 
 
 _NODES, _EDGES = _graph_parts()
+_GRAPHS = {dd: ChordGraph(_NODES[dd], _EDGES[dd]) for dd in (False, True)}
 
 
 def build_chord_graph(include_dd: bool = False) -> ChordGraph:
-    """Build the labeled graph over the harmonic four-tone chords.
+    """The labeled graph over the harmonic four-tone chords.
 
     The dd chord is fixed by all three operators, so by default it is left
     out; with any true ``include_dd`` it appears as an isolated node with
     three self-loops.  Nodes come in the label table's family, then
     inversion order.  Edges come grouped by operator (i, d, a), each group
-    sorted by source, then target.  The node and edge Records are built
-    once, at import, and shared; each call constructs only a new ChordGraph.
+    sorted by source, then target.  Both graphs are built once, at import:
+    every call returns the same immutable ChordGraph for its variant.
     """
-    include_dd = bool(include_dd)
-    return ChordGraph(_NODES[include_dd], _EDGES[include_dd])
+    return _GRAPHS[bool(include_dd)]
 
 
 def _check_graph(graph: object) -> None:
@@ -169,11 +197,8 @@ def _check_graph(graph: object) -> None:
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     """Components of the underlying undirected graph, largest first.
 
-    Each component lists its nodes in family, then inversion order.
-
-    Raises ValueError, naming the edge, if an edge has an endpoint that is
-    not one of the graph's nodes, and ValueError for a value that is not a
-    ChordGraph.
+    Each component lists its nodes in family, then inversion order.  A
+    value that is not a ChordGraph raises ValueError.
     """
     _check_graph(graph)
     # node ids in (family, inversion) order, ranked through the family table
@@ -183,10 +208,7 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     # node id -> the ids of its component so far, one list shared by its members
     group = {key[2]: [key[2]] for key in ranked}
     for edge in graph.edges:
-        try:
-            first, second = group[edge.source], group[edge.target]
-        except (KeyError, TypeError):  # TypeError: an endpoint that cannot be hashed
-            raise _not_a_node(edge, group) from None
+        first, second = group[edge.source], group[edge.target]
         if first is not second:
             if len(first) < len(second):
                 first, second = second, first
@@ -201,17 +223,6 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     for node_id, members in group.items():
         found.setdefault(id(members), []).append(by_id[node_id])
     return sorted(found.values(), key=len, reverse=True)  # stable: ties keep that order
-
-
-def _not_a_node(edge: GraphEdge, ids: dict) -> ValueError:
-    """The error for an edge with an endpoint outside ``ids``, the source checked first."""
-    end = edge.target
-    try:
-        if edge.source not in ids:
-            end = edge.source
-    except TypeError:
-        end = edge.source
-    return ValueError(f"{edge!r} ends at {end!r}, which is not a node")
 
 
 # Operators permute gap positions, so they commute with a relabelling of gap values.
@@ -229,9 +240,8 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     """The gap-relabelling map between the two 12-node components.
 
     Raises IsomorphismViolationError unless it preserves every edge, operator
-    included.  An edge from a component to any value outside it, or an
-    edge with an end that is no node's id, breaks it too.  A value that is
-    not a ChordGraph raises ValueError.
+    included.  An edge from a component to a node outside it breaks it too.
+    A value that is not a ChordGraph raises ValueError.
     """
     _check_graph(graph)
     id_of = {node.chord: node.id for node in graph.nodes}
@@ -248,23 +258,14 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     mapped_keys, lower_keys = set(), set()
     for edge in graph.edges:
         source, target, op = edge.source, edge.target, edge.op
-        try:
-            if source in mapping and target in mapping:
-                source, target, keys = mapping[source], mapping[target], mapped_keys
-            elif source in lower and target in lower:
-                keys = lower_keys
-            elif source in mapping or target in mapping or source in lower or target in lower:
-                raise IsomorphismViolationError(
-                    f"edge leaves its component: {(source, target, op)}"
-                )
-            elif source not in graph._by_id or target not in graph._by_id:
-                raise IsomorphismViolationError(f"edge ends at no node: {(source, target, op)}")
-            else:
-                continue  # in neither component: the dd chord's self-loops
-        except TypeError:  # an end that cannot be hashed
-            raise IsomorphismViolationError(
-                f"edge ends at no node: {(source, target, op)}"
-            ) from None
+        if source in mapping and target in mapping:
+            source, target, keys = mapping[source], mapping[target], mapped_keys
+        elif source in lower and target in lower:
+            keys = lower_keys
+        elif source in mapping or target in mapping or source in lower or target in lower:
+            raise IsomorphismViolationError(f"edge leaves its component: {(source, target, op)}")
+        else:
+            continue  # in neither component: the dd chord's self-loops
         if op is not _INVERSION and target < source:
             source, target = target, source
         keys.add((source, target, op))
@@ -298,22 +299,21 @@ def export_dot(graph: ChordGraph) -> str:
 
 # One node and one edge as json.dumps(indent=2, sort_keys=True) lays them out
 # at depth 2, inside the document's "nodes" and "edges" arrays.  A node's
-# tones fill its "chord" array; a node without tones takes the second
-# template, whose empty array takes the empty join.
+# tones fill its "chord" array.  Ids are ASCII letters, digits and "-", so
+# quoting one escapes nothing.
 _NODE_JSON = """{
       "chord": [
         %s
       ],
       "family": %s,
-      "id": %s,
+      "id": "%s",
       "inversion": %d
     }"""
-_NODE_JSON_NO_TONES = _NODE_JSON.replace("[\n        %s\n      ]", "[]%s")
 _TONE_SEPARATOR = ",\n        "
 _EDGE_JSON = """{
-      "from": %s,
+      "from": "%s",
       "op": "%s",
-      "to": %s
+      "to": "%s"
     }"""
 # Each family's value as a JSON string, read once: it is ASCII letters, so
 # quoting it escapes nothing.
@@ -325,25 +325,22 @@ def export_json(graph: ChordGraph) -> str:
 
     The text is ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
     sort_keys=True) + "\\n"``, byte for byte: two-space indent, keys sorted,
-    strings ASCII-escaped, an empty array written ``[]``.  A value that is
-    not a ChordGraph raises ValueError.
+    an empty array written ``[]``.  A value that is not a ChordGraph raises
+    ValueError.
     """
     _check_graph(graph)
-    from json.encoder import encode_basestring_ascii as quote
-
     nodes = [
-        (_NODE_JSON if node.chord else _NODE_JSON_NO_TONES)
+        _NODE_JSON
         % (
             _TONE_SEPARATOR.join(map(str, node.chord)),
             _FAMILY_JSON[node.label.family],
-            quote(node.id),
+            node.id,
             node.label.inversion,
         )
         for node in graph.nodes
     ]
     edges = [
-        _EDGE_JSON % (quote(edge.source), _OP_LABEL[edge.op], quote(edge.target))
-        for edge in graph.edges
+        _EDGE_JSON % (edge.source, _OP_LABEL[edge.op], edge.target) for edge in graph.edges
     ]
     return '{\n  "edges": %s,\n  "nodes": %s\n}\n' % (
         _json_array(edges, "  "),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from chordgroups.cli import main
+from chordgroups.transform import Operator
 
 
 def pytest_runtest_makereport(item, call):
@@ -47,6 +48,37 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 def gaps(chord):
     """The gap sequence of a chord, computed without the library."""
     return [b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]]
+
+
+# Test-side oracles: the README's operator table, kept separate from the
+# library's gap permutations so each checks the other.  TONE_FORMULAS holds
+# each operator's tone formula, GAP_ACTIONS its action on a chord's gaps.
+def _invert_by_tones(chord):
+    if len(chord) < 2:
+        return chord
+    a1 = chord[1]
+    return (0, *(tone - a1 for tone in chord[2:]), 12 - a1)
+
+
+def _dual_by_tones(chord):
+    return (0, *(12 - tone for tone in reversed(chord[1:])))
+
+
+def _augdim_by_tones(chord):
+    _, a1, a2, a3 = chord
+    return (0, a1, a1 + a3 - a2, a3)
+
+
+TONE_FORMULAS = {
+    Operator.INVERSION: _invert_by_tones,
+    Operator.DUALITY: _dual_by_tones,
+    Operator.AUGDIM: _augdim_by_tones,
+}
+GAP_ACTIONS = {
+    Operator.INVERSION: lambda g: g[1:] + g[:1],
+    Operator.DUALITY: lambda g: g[::-1],
+    Operator.AUGDIM: lambda g: [g[0], g[2], g[1], g[3]],
+}
 
 
 GOLDEN_HARMONIC_TETRADS = """\

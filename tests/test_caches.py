@@ -4,8 +4,8 @@ A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
 ``classify``, ``seventh_table`` and ``build_chord_graph`` in any order, and
 between calls drops the per-size chord tables, the operator slots of their
 rows, the orbit memo or the gap-permutation cache.  Every answer is checked
-against the README's tone formulas, ``conftest.gaps`` and the golden label
-tables, none of which shares code with the library.
+against ``conftest``'s tone formulas, gap actions and golden label tables,
+none of which shares code with the library.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from chordgroups.core import WrongArityError
 from chordgroups.graph import build_chord_graph
 from chordgroups.transform import Operator, apply_word, augdim, dual, invert, orbit
 
-from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, gaps
+from conftest import (
+    GAP_ACTIONS,
+    GOLDEN_HARMONIC_TETRADS,
+    GOLDEN_HARMONIC_TRIADS,
+    TONE_FORMULAS,
+    gaps,
+)
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
@@ -38,19 +44,10 @@ def _golden(text: str) -> dict:
 # chord size -> chord -> label text
 GOLDEN = {3: _golden(GOLDEN_HARMONIC_TRIADS), 4: _golden(GOLDEN_HARMONIC_TETRADS)}
 
-# The README's tone formulas, each with its action on gaps.
-FORMULAS = {
-    I: (lambda c: (0, *[t - c[1] for t in c[2:]], 12 - c[1]), lambda g: g[1:] + g[:1]),
-    D: (lambda c: (0, *[12 - t for t in reversed(c[1:])]), lambda g: g[::-1]),
-    A: (lambda c: (0, c[1], c[1] + c[3] - c[2], c[3]), lambda g: [g[0], g[2], g[1], g[3]]),
-}
-
-
 def _image(op: Operator, chord: tuple) -> tuple:
     """The image by op's tone formula, checked against its gap action."""
-    tones, gap_action = FORMULAS[op]
-    image = tones(chord)
-    assert gaps(image) == gap_action(gaps(chord))
+    image = TONE_FORMULAS[op](chord)
+    assert gaps(image) == GAP_ACTIONS[op](gaps(chord))
     return image
 
 

@@ -33,7 +33,7 @@ from chordgroups.transform import (
     parse_word,
 )
 
-from conftest import gaps
+from conftest import TONE_FORMULAS as ORACLES, gaps
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
@@ -42,25 +42,6 @@ def powerset(items):
     return chain.from_iterable(combinations(items, n) for n in range(len(items) + 1))
 
 
-# Test-side oracles: the tone formulas of the README's operator table,
-# kept separate from the library's gap permutations so each checks the other.
-def _invert_by_tones(chord):
-    if len(chord) < 2:
-        return chord
-    a1 = chord[1]
-    return (0, *(tone - a1 for tone in chord[2:]), 12 - a1)
-
-
-def _dual_by_tones(chord):
-    return (0, *(12 - tone for tone in reversed(chord[1:])))
-
-
-def _augdim_by_tones(chord):
-    _, a1, a2, a3 = chord
-    return (0, a1, a1 + a3 - a2, a3)
-
-
-ORACLES = {I: _invert_by_tones, D: _dual_by_tones, A: _augdim_by_tones}
 SINGLE = {I: invert, D: dual, A: augdim}
 CHORDS = [chord for k in range(1, 7) for chord in enumerate_chords(k)]
 EVERY_CHORD = [chord for k in range(1, 13) for chord in enumerate_chords(k)]
