@@ -18,18 +18,23 @@ hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 (``CHORD_TABLES``) holds one row per chord of each size, and ``chord_row``
 is the one chord validation: ``make_chord``, the operators and ``classify``
 all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
-table itself, since they need no int check.  Only the converters between
-chords, compositions, partitions and text assume already-validated values.
+table itself, since they need no int check.  ``format_chord`` and
+``format_parts`` validate too; only the converters between chords,
+compositions and partitions assume already-validated values.
 
 Everything the library fills on first use is a cache: the per-size tables
-of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``
-and ``gap_permutation``'s ``functools.cache``.  Dropping any of them at any
-time changes no public answer, compared by equality.  Identity does not
-survive a drop: the label tables' keys are ``make_chord``'s own tuples
-again only in a fresh process.  ``classify._LABELS``, ``graph._PARTNER``,
-the graph's node and edge Records in ``graph._NODES`` and ``graph._EDGES``
-and its two graphs in ``graph._GRAPHS`` are built at import, never written
-afterwards and shared by every call that returns them.
+of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``,
+``gap_permutation``'s ``functools.cache`` and each ``ChordGraph``'s
+``_memo``, which holds the graph's components, isomorphism and DOT and JSON
+texts once a graph function has derived them.  Dropping any of them at any
+time changes no public answer, compared by equality.  A call that raises
+stores nothing, so a graph whose isomorphism fails raises on every call.
+Identity does not survive a drop: the label tables' keys are
+``make_chord``'s own tuples again only in a fresh process.
+``classify._LABELS``, ``graph._PARTNER``, the graph's node and edge Records
+in ``graph._NODES`` and ``graph._EDGES`` and its two graphs in
+``graph._GRAPHS`` are built at import, never written afterwards (but for
+the graphs' memos) and shared by every call that returns them.
 """
 
 from __future__ import annotations
@@ -388,10 +393,16 @@ def parse_chord(text: str) -> Chord:
 
 
 def format_chord(chord: Chord) -> str:
-    """Render a validated chord in the bare comma form, e.g. ``"0,4,7"``."""
-    return ",".join(str(tone) for tone in chord)
+    """Render a chord in the bare comma form, e.g. ``"0,4,7"``.
+
+    Anything else raises :func:`chord_row`'s InvalidChordError.
+    """
+    return ",".join(map(str, chord_row(chord)[0]))
 
 
 def format_parts(parts: Iterable[int]) -> str:
-    """Render a partition or composition as a bracketed list, e.g. ``"[3,4,5]"``."""
-    return "[" + ",".join(str(p) for p in parts) + "]"
+    """Render a partition or composition as a bracketed list, e.g. ``"[3,4,5]"``.
+
+    Anything but positive int parts summing to 12 raises ``make_composition``'s ValueError.
+    """
+    return "[" + ",".join(map(str, make_composition(parts))) + "]"

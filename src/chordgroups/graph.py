@@ -21,6 +21,11 @@ sorted by source, then target, and needs no sort.  ``_NODES`` and
 ``include_dd``, the variant without dd less dd's node and three self-loops,
 and ``_GRAPHS`` the two ``ChordGraph`` values, immutable and shared, as
 ``classify`` shares its labels: ``build_chord_graph`` constructs nothing.
+Each graph derives its four read-only answers (components, isomorphism,
+DOT and JSON text) once each: the first call stores one in the
+graph's ``_memo`` and later calls answer from there, with new lists and
+dicts, so a caller who changes one changes no later answer.  The memo is a
+cache: dropping it changes no answer, and a call that raises stores nothing.
 
 ``export_json`` writes its two-space, sorted-key layout itself: the bytes
 are exactly ``json.dumps(document, indent=2, sort_keys=True) + "\n"``,
@@ -32,7 +37,7 @@ reading one off its class costs a Python-level lookup on every pass.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from types import MappingProxyType
 
 from .classify import ROOT_CHORDS, ChordLabel, SeventhFamily, seventh_table
@@ -104,9 +109,11 @@ class ChordGraph(Record):
     """Nodes and edges, kept as tuples whatever iterables they come in, indexed by node id.
 
     Anything but GraphNodes with distinct ids and GraphEdges between them raises ValueError.
+    ``_memo`` holds the graph functions' answers once each is derived; it is
+    not a field, so equality, hashing, ``repr`` and pickling ignore it.
     """
 
-    __slots__ = ("nodes", "edges", "_by_id")
+    __slots__ = ("nodes", "edges", "_by_id", "_memo")
     __match_args__ = ("nodes", "edges")
 
     nodes: tuple[GraphNode, ...]
@@ -131,6 +138,7 @@ class ChordGraph(Record):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_by_id", MappingProxyType(by_id))
+        object.__setattr__(self, "_memo", {})
 
     def node(self, node_id: str) -> GraphNode:
         """The node whose id is ``node_id``; raises KeyError(node_id) if there is none.
@@ -188,19 +196,34 @@ def build_chord_graph(include_dd: bool = False) -> ChordGraph:
     return _GRAPHS[bool(include_dd)]
 
 
-def _check_graph(graph: object) -> None:
-    """Raise the documented ValueError unless ``graph`` is a ChordGraph."""
+def _derived(graph: ChordGraph, derive: Callable[[ChordGraph], object]) -> object:
+    """``derive(graph)``, computed on the first call for this graph and kept in its memo.
+
+    A value that is not a ChordGraph raises the documented ValueError first.
+    A derivation that raises stores nothing, so the next call raises again.
+    Two threads that derive at once keep one answer (``setdefault``).
+    """
     if not isinstance(graph, ChordGraph):
         raise ValueError(f"not a chord graph: {graph!r}")
+    memo = graph._memo
+    try:
+        return memo[derive]
+    except KeyError:
+        return memo.setdefault(derive, derive(graph))
 
 
 def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     """Components of the underlying undirected graph, largest first.
 
     Each component lists its nodes in family, then inversion order.  A
-    value that is not a ChordGraph raises ValueError.
+    value that is not a ChordGraph raises ValueError.  The components are
+    derived once per graph; each call returns new lists, so changing one
+    changes no later answer.
     """
-    _check_graph(graph)
+    return [list(component) for component in _derived(graph, _components)]
+
+
+def _components(graph: ChordGraph) -> tuple[tuple[GraphNode, ...], ...]:
     # node ids in (family, inversion) order, ranked through the family table
     ranked = sorted(
         [(_FAMILY_ORDER[node.label.family], node.label.inversion, node.id) for node in graph.nodes]
@@ -222,7 +245,8 @@ def connected_components(graph: ChordGraph) -> list[list[GraphNode]]:
     by_id = graph._by_id
     for node_id, members in group.items():
         found.setdefault(id(members), []).append(by_id[node_id])
-    return sorted(found.values(), key=len, reverse=True)  # stable: ties keep that order
+    # stable: ties keep that order
+    return tuple(map(tuple, sorted(found.values(), key=len, reverse=True)))
 
 
 # Operators permute gap positions, so they commute with a relabelling of gap values.
@@ -241,9 +265,14 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
 
     Raises IsomorphismViolationError unless it preserves every edge, operator
     included.  An edge from a component to a node outside it breaks it too.
-    A value that is not a ChordGraph raises ValueError.
+    A value that is not a ChordGraph raises ValueError.  The map is derived
+    once per graph, and each call returns a new dict; a graph that breaks it
+    raises on every call.
     """
-    _check_graph(graph)
+    return dict(_derived(graph, _isomorphism))
+
+
+def _isomorphism(graph: ChordGraph) -> dict[str, str]:
     id_of = {node.chord: node.id for node in graph.nodes}
     mapping: dict[str, str] = {}
     for chord, node_id in id_of.items():
@@ -276,20 +305,23 @@ def component_isomorphism(graph: ChordGraph) -> dict[str, str]:
     return mapping
 
 
-_OP_LABEL = {op: op.value for op in Operator}  # Enum's .value is a Python-level property
 _DOT_ATTRS = {
-    _INVERSION: f'label="{_OP_LABEL[_INVERSION]}"',
-    _DUALITY: f'label="{_OP_LABEL[_DUALITY]}", dir=both',
-    _AUGDIM: f'label="{_OP_LABEL[_AUGDIM]}", dir=both, style=dashed',
+    _INVERSION: f'label="{_INVERSION.value}"',
+    _DUALITY: f'label="{_DUALITY.value}", dir=both',
+    _AUGDIM: f'label="{_AUGDIM.value}", dir=both, style=dashed',
 }
 
 
 def export_dot(graph: ChordGraph) -> str:
     """Graphviz DOT text: i solid directed, d solid bidirectional, a dashed bidirectional.
 
-    A value that is not a ChordGraph raises ValueError.
+    A value that is not a ChordGraph raises ValueError.  The text is written
+    once per graph.
     """
-    _check_graph(graph)
+    return _derived(graph, _dot_text)
+
+
+def _dot_text(graph: ChordGraph) -> str:
     lines = ["digraph chord_graph {"]
     lines += [f"  {node.id}" for node in graph.nodes]
     lines += [f"  {edge.source} -> {edge.target} [{_DOT_ATTRS[edge.op]}]" for edge in graph.edges]
@@ -326,9 +358,12 @@ def export_json(graph: ChordGraph) -> str:
     The text is ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
     sort_keys=True) + "\\n"``, byte for byte: two-space indent, keys sorted,
     an empty array written ``[]``.  A value that is not a ChordGraph raises
-    ValueError.
+    ValueError.  The text is written once per graph.
     """
-    _check_graph(graph)
+    return _derived(graph, _json_text)
+
+
+def _json_text(graph: ChordGraph) -> str:
     nodes = [
         _NODE_JSON
         % (
@@ -339,9 +374,7 @@ def export_json(graph: ChordGraph) -> str:
         )
         for node in graph.nodes
     ]
-    edges = [
-        _EDGE_JSON % (edge.source, _OP_LABEL[edge.op], edge.target) for edge in graph.edges
-    ]
+    edges = [_EDGE_JSON % (edge.source, edge.op.value, edge.target) for edge in graph.edges]
     return '{\n  "edges": %s,\n  "nodes": %s\n}\n' % (
         _json_array(edges, "  "),
         _json_array(nodes, "  "),

@@ -15,7 +15,9 @@ d∘i^n = i^((k-n) mod k)∘d for n = 0..k.  ``composition-action`` checks
 only that each tetrad's images under i, d and a keep its partition.
 ``permutation-closure`` checks that the operators reach all 24
 orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one chord in
-its orbit per ordering.
+its orbit per ordering.  ``degree-regularity``, ``components`` and
+``isomorphism`` read the two shared graphs, whose components and
+isomorphism each process derives once, on the first verdict.
 """
 
 from __future__ import annotations

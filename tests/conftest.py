@@ -81,6 +81,15 @@ GAP_ACTIONS = {
 }
 
 
+# sha256 of each graph export, by (format, include_dd)
+EXPORT_SHA256 = {
+    ("dot", False): "96ef744f895f507c38dba4d0bb03785deb5db3e5b213d8d2401d5c5457443ecf",
+    ("dot", True): "f8beba61ca658baa949731b755d67635010afba87f3580fa079e283d054c15a6",
+    ("json", False): "5b7aa6fdebdd4918296fb0b623055ec9f4631d121efe7754a1d1b3987f2d2a09",
+    ("json", True): "a0e961e570c785a182e0f2662271558cfc692af680c4850258532452830e2a59",
+}
+
+
 GOLDEN_HARMONIC_TETRADS = """\
 0,1,4,8 mM3
 0,1,5,8 MM3

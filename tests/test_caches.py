@@ -1,16 +1,20 @@
 """The lazily filled state is a cache: dropping it at any time changes no answer.
 
 A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
-``classify``, ``seventh_table`` and ``build_chord_graph`` in any order, and
+``classify``, ``seventh_table``, ``build_chord_graph`` and the four graph
+functions (components, isomorphism, DOT and JSON export) in any order, and
 between calls drops the per-size chord tables, the operator slots of their
-rows, the orbit memo or the gap-permutation cache.  Every answer is checked
-against ``conftest``'s tone formulas, gap actions and golden label tables,
-none of which shares code with the library.
+rows, the orbit memo, the gap-permutation cache or the two shared graphs'
+memos.  Every answer is checked against ``conftest``'s tone formulas, gap
+actions, golden label tables and export digests, none of which shares code
+with the library.  A returned list or dict is changed after its check, so a
+later answer that reflects the change fails.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import hashlib
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import settings
@@ -18,12 +22,20 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from chordgroups import core, transform
+from chordgroups import graph as graph_module
 from chordgroups.classify import classify, seventh_table
 from chordgroups.core import WrongArityError
-from chordgroups.graph import build_chord_graph
+from chordgroups.graph import (
+    build_chord_graph,
+    component_isomorphism,
+    connected_components,
+    export_dot,
+    export_json,
+)
 from chordgroups.transform import Operator, apply_word, augdim, dual, invert, orbit
 
 from conftest import (
+    EXPORT_SHA256,
     GAP_ACTIONS,
     GOLDEN_HARMONIC_TETRADS,
     GOLDEN_HARMONIC_TRIADS,
@@ -43,6 +55,37 @@ def _golden(text: str) -> dict:
 
 # chord size -> chord -> label text
 GOLDEN = {3: _golden(GOLDEN_HARMONIC_TRIADS), 4: _golden(GOLDEN_HARMONIC_TETRADS)}
+
+# the seventh families in the paper's order; a label is its family, then its inversion
+FAMILIES = ["MM", "mM", "AM", "Mm", "dm", "mm", "dd"]
+
+
+def _components(include_dd: bool) -> list:
+    """The tetrads split by gap multiset, as (id, chord) lists, largest first."""
+    split: dict = {}
+    for chord, label in sorted(GOLDEN[4].items(), key=lambda item: _rank(item[1])):
+        if include_dd or label != "dd0":
+            split.setdefault(tuple(sorted(gaps(chord))), []).append((label, chord))
+    return sorted(split.values(), key=len, reverse=True)
+
+
+def _rank(label: str) -> tuple:
+    return FAMILIES.index(label[:2]), int(label[2:])
+
+
+def _relabelled(chord: tuple) -> tuple:
+    """The chord whose gaps are chord's under the gap relabelling 1->2, 3->4, 4->3."""
+    new_gaps = [{1: 2, 3: 4, 4: 3}[gap] for gap in gaps(chord)]
+    return tuple(accumulate([0, *new_gaps[:-1]]))
+
+
+# each label of the 1, 3, 4, 4 component -> the label of its image
+ISOMORPHISM = {
+    label: GOLDEN[4][_relabelled(chord)]
+    for chord, label in GOLDEN[4].items()
+    if sorted(gaps(chord)) == [1, 3, 4, 4]
+}
+
 
 def _image(op: Operator, chord: tuple) -> tuple:
     """The image by op's tone formula, checked against its gap action."""
@@ -87,6 +130,11 @@ class ChordTableCaches(RuleBasedStateMachine):
     @rule()
     def drop_the_gap_permutations(self) -> None:
         transform.gap_permutation.cache_clear()
+
+    @rule()
+    def drop_the_graph_memos(self) -> None:
+        for shared in graph_module._GRAPHS.values():
+            shared._memo.clear()
 
     @rule(chord=chords)
     def call_invert(self, chord) -> None:
@@ -146,6 +194,25 @@ class ChordTableCaches(RuleBasedStateMachine):
             expected = {key((labels[c], labels[_image(op, c)])) for c in labels}
             edges = [key((e.source, e.target)) for e in graph.edges if e.op is op]
             assert sorted(edges) == sorted(expected)
+
+    @rule(include_dd=st.booleans())
+    def call_connected_components(self, include_dd) -> None:
+        components = connected_components(build_chord_graph(include_dd))
+        assert [[(n.id, n.chord) for n in c] for c in components] == _components(include_dd)
+        components[0].reverse()
+        components.pop()
+
+    @rule(include_dd=st.booleans())
+    def call_component_isomorphism(self, include_dd) -> None:
+        mapping = component_isomorphism(build_chord_graph(include_dd))
+        assert mapping == ISOMORPHISM
+        mapping.clear()
+
+    @rule(include_dd=st.booleans(), export=st.sampled_from([export_dot, export_json]))
+    def call_export(self, include_dd, export) -> None:
+        text = export(build_chord_graph(include_dd))
+        fmt = export.__name__.removeprefix("export_")
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[fmt, include_dd]
 
 
 TestChordTableCaches = ChordTableCaches.TestCase

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chordgroups import verify
 from chordgroups.cli import main
 
-from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, run_python
+from conftest import EXPORT_SHA256, GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, run_python
 
 
 class TestApply:
@@ -147,16 +147,10 @@ class TestGraph:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (("dot",), "96ef744f895f507c38dba4d0bb03785deb5db3e5b213d8d2401d5c5457443ecf"),
-            (
-                ("dot", "--include-dd"),
-                "f8beba61ca658baa949731b755d67635010afba87f3580fa079e283d054c15a6",
-            ),
-            (("json",), "5b7aa6fdebdd4918296fb0b623055ec9f4631d121efe7754a1d1b3987f2d2a09"),
-            (
-                ("json", "--include-dd"),
-                "a0e961e570c785a182e0f2662271558cfc692af680c4850258532452830e2a59",
-            ),
+            (("dot",), EXPORT_SHA256["dot", False]),
+            (("dot", "--include-dd"), EXPORT_SHA256["dot", True]),
+            (("json",), EXPORT_SHA256["json", False]),
+            (("json", "--include-dd"), EXPORT_SHA256["json", True]),
         ],
     )
     def test_export_bytes(self, invoke, argv, digest):

@@ -288,6 +288,37 @@ class TestTextForms:
 
     def test_format_parts(self):
         assert format_parts((3, 4, 5)) == "[3,4,5]"
+        assert format_parts(iter([5, 4, 3])) == "[5,4,3]"
+
+    # what make_chord rejects, format_chord rejects with the same subclass and message
+    @pytest.mark.parametrize(
+        "value", [5, None, (0, 13), (), (0, 4, 4), (4, 7), (0, 4.0, 7)], ids=repr
+    )
+    def test_format_chord_rejects_what_is_no_chord(self, value):
+        with pytest.raises(InvalidChordError) as expected:
+            make_chord(value)
+        with pytest.raises(InvalidChordError) as excinfo:
+            format_chord(value)
+        assert type(excinfo.value) is type(expected.value)
+        assert str(excinfo.value) == str(expected.value)
+
+    def test_format_chord_takes_a_chord_tuple_only(self):
+        # make_chord turns a list into a chord; format_chord, like chord_row, does not
+        with pytest.raises(InvalidChordError, match=r"a chord is a tuple of ints, got \[0, 4, 7\]"):
+            format_chord([0, 4, 7])
+
+    # what make_composition rejects, format_parts rejects with the same ValueError
+    @pytest.mark.parametrize(
+        "value", [5, None, "345", (), (3, 4), (0, 12), (13, -1), (3, 4, 5.0), (True,) * 12],
+        ids=repr,
+    )
+    def test_format_parts_rejects_what_is_no_composition(self, value):
+        with pytest.raises(ValueError) as expected:
+            make_composition(value)
+        with pytest.raises(ValueError) as excinfo:
+            format_parts(value)
+        assert type(excinfo.value) is type(expected.value) is ValueError
+        assert str(excinfo.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "text", ["", "  ", "()", "0,4,x", "0;4;7", "0,1_1", "0,+4,7", "0,\u0664,7"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 
 import pytest
@@ -159,6 +160,56 @@ def test_a_value_that_is_no_graph_is_a_value_error(function, value):
     with pytest.raises(ValueError, match=re.escape(f"not a chord graph: {value!r}")) as excinfo:
         function(value)
     assert excinfo.type is ValueError
+
+
+class TestMemo:
+    """Each graph derives its components, isomorphism and exports once and keeps them."""
+
+    @pytest.mark.parametrize("include_dd", [False, True])
+    @pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+    def test_changing_an_answer_changes_no_later_answer(self, include_dd, fresh):
+        graph = build_chord_graph(include_dd)
+        if fresh:  # an empty memo, so the first answer is the one derived
+            graph = ChordGraph(graph.nodes, graph.edges)
+        components, mapping = connected_components(graph), component_isomorphism(graph)
+        expected = ([list(c) for c in components], dict(mapping))
+        components[0].reverse()
+        components[-1].clear()
+        components.append(components.pop(0))
+        mapping["MM0"] = "XX0"
+        del mapping["mM1"]
+        assert connected_components(graph) == expected[0]
+        assert component_isomorphism(graph) == expected[1]
+
+    @pytest.mark.parametrize("include_dd", [False, True])
+    @pytest.mark.parametrize("export", [export_dot, export_json])
+    def test_a_second_export_is_the_same_text(self, include_dd, export):
+        graph = build_chord_graph(include_dd)
+        fresh = ChordGraph(graph.nodes, graph.edges)
+        first = export(fresh)
+        assert export(fresh) == first == export(graph)
+
+    def test_a_failed_isomorphism_stores_nothing_and_raises_again(self, graph):
+        edges = tuple(e for e in graph.edges if {e.source, e.target} != {"MM1", "MM2"})
+        broken = ChordGraph(graph.nodes, edges)
+        for _ in range(2):
+            with pytest.raises(IsomorphismViolationError, match="unmatched edges"):
+                component_isomorphism(broken)
+        assert broken._memo == {}
+
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_a_filled_memo_changes_no_equality_hash_or_pickle(self, include_dd):
+        graph = build_chord_graph(include_dd)
+        for function in (connected_components, component_isomorphism, export_dot, export_json):
+            function(graph)
+        fresh = ChordGraph(graph.nodes, graph.edges)
+        assert graph._memo and not fresh._memo
+        assert graph == fresh
+        assert hash(graph) == hash(fresh)
+        assert repr(graph) == repr(fresh)
+        assert pickle.dumps(graph) == pickle.dumps(fresh)
+        unpickled = pickle.loads(pickle.dumps(graph))
+        assert unpickled == fresh and unpickled._memo == {}
 
 
 class TestEdgeOrder:
