@@ -101,10 +101,10 @@ class ChordLabel(Record):
 
 def is_harmonic_triad(chord: Chord) -> bool:
     """True when every gap of the three-tone chord is at least 3."""
-    chord = chord_row(chord)[0]
-    if len(chord) != 3:
-        raise WrongArityError(f"harmonic-triad test needs a three-tone chord, got {len(chord)}")
-    return min(chord_to_partition(chord)) >= 3
+    parts = chord_to_partition(chord)  # validates: InvalidChordError before WrongArityError
+    if len(parts) != 3:
+        raise WrongArityError(f"harmonic-triad test needs a three-tone chord, got {len(parts)}")
+    return min(parts) >= 3
 
 
 def is_harmonic_seventh(chord: Chord) -> bool:
@@ -114,10 +114,9 @@ def is_harmonic_seventh(chord: Chord) -> bool:
     a major third (4).  Exactly three gap multisets qualify — (1,3,4,4),
     (2,3,3,4) and (3,3,3,3) — for 25 chords in total.
     """
-    chord = chord_row(chord)[0]
-    if len(chord) != 4:
-        raise WrongArityError(f"harmonic-seventh test needs a four-tone chord, got {len(chord)}")
     parts = chord_to_partition(chord)
+    if len(parts) != 4:
+        raise WrongArityError(f"harmonic-seventh test needs a four-tone chord, got {len(parts)}")
     return sum(1 for part in parts if part <= 2) <= 1 and max(parts) <= 4
 
 

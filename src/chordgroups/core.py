@@ -19,14 +19,16 @@ hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 is the one chord validation: ``make_chord``, the operators and ``classify``
 all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
 table itself, since they need no int check.  ``format_chord`` and
-``format_parts`` validate too; only the converters between chords,
-compositions and partitions assume already-validated values.
+``format_parts`` validate too, and so do ``chord_to_composition`` and
+``chord_to_partition``, whose answers are slots of the chord's row; only
+``composition_to_chord`` assumes an already-validated value.
 
 Everything the library fills on first use is a cache: the per-size tables
-of ``CHORD_TABLES``, the operator slots of their rows, ``transform._ORBITS``,
-``gap_permutation``'s ``functools.cache`` and each ``ChordGraph``'s
-``_memo``, which holds the graph's components, isomorphism and DOT and JSON
-texts once a graph function has derived them.  Dropping any of them at any
+of ``CHORD_TABLES``, the operator, composition and partition slots of
+their rows, ``transform._ORBITS``, ``gap_permutation``'s
+``functools.cache`` and each ``ChordGraph``'s ``_memo``, which holds the
+graph's components, isomorphism and DOT and JSON texts once a graph
+function has derived them.  Dropping any of them at any
 time changes no public answer, compared by equality.  A call that raises
 stores nothing, so a graph whose isomorphism fails raises on every call.
 Identity does not survive a drop: the label tables' keys are
@@ -136,9 +138,11 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
 class _ChordTables(dict):
     """Chord size -> ``{chord: row}`` over every chord of that size, built on first use.
 
-    A row is ``[chord, i, d, a]``, and ``transform`` fills each operator's
-    slot on first use with the row of the chord's image, so each chord
-    tuple exists once and a walk from row to row hashes nothing.  A size
+    A row is ``[chord, i, d, a, composition, partition]``.  ``transform``
+    fills each operator's slot on first use with the row of the chord's
+    image, so each chord tuple exists once and a walk from row to row
+    hashes nothing; :func:`chord_to_composition` and
+    :func:`chord_to_partition` fill the last two on first use.  A size
     outside 1..12 has an empty table.  Sizes are built one at a time,
     on first lookup, so that a caller pays only for the sizes it uses.
     """
@@ -147,7 +151,7 @@ class _ChordTables(dict):
         if not 1 <= k <= OCTAVE:
             return {}
         chords = [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
-        table = {chord: [chord, None, None, None] for chord in chords}
+        table = {chord: [chord, None, None, None, None, None] for chord in chords}
         return self.setdefault(k, table)  # two threads building k keep one table
 
 
@@ -248,37 +252,44 @@ def make_partition(parts: Iterable[int]) -> Partition:
 def chord_to_composition(chord: Chord) -> Composition:
     """The chord's gap sequence, ending with the wrap-around to the octave.
 
-    Assumes a validated chord, as the converters below do too: nothing is
-    checked but emptiness, so ``(0, 4, 4)`` gives ``(4, 0, 8)``.  Gap j is
-    tone j + 1 (or the octave) minus tone j; ``map`` applies ``operator.sub``
-    in C, with no Python step per gap, since the exhaustive ``verify``
-    sweeps call this once per chord.
+    Anything but a chord raises :func:`chord_row`'s InvalidChordError, so
+    ``(0, 4, 4)`` and ``()`` raise ``make_chord``'s subclass and message.
+    The answer is the row's composition slot, filled on first use: gap j
+    is tone j + 1 (or the octave) minus tone j.
 
     >>> chord_to_composition((0, 4, 7, 11))
     (4, 3, 4, 1)
     >>> chord_to_composition((0,))
     (12,)
-
-    The empty tuple raises EmptyChordError.
     """
-    if not chord:
-        raise EmptyChordError("a chord needs at least one tone")
-    return tuple(map(sub, (*chord[1:], OCTAVE), chord))
+    row = chord_row(chord)
+    return row[4] or _fill_composition(row)
 
 
 def chord_to_partition(chord: Chord) -> Partition:
-    """The chord's gap multiset, sorted ascending; EmptyChordError for ``()``.
+    """The chord's gap multiset, sorted ascending.
 
-    Assumes a validated chord: ``(0, 4, 4)`` gives ``(0, 4, 8)``.  Sorts
-    the same mapped gaps as :func:`chord_to_composition`, with no
-    composition tuple in between.
+    Anything but a chord raises :func:`chord_row`'s InvalidChordError, as
+    for :func:`chord_to_composition`.  The answer is the row's partition
+    slot, filled on first use from the sorted composition slot.
 
     >>> chord_to_partition((0, 3, 8))
     (3, 4, 5)
     """
-    if not chord:
-        raise EmptyChordError("a chord needs at least one tone")
-    return tuple(sorted(map(sub, (*chord[1:], OCTAVE), chord)))
+    row = chord_row(chord)
+    return row[5] or _fill_partition(row)
+
+
+def _fill_composition(row: list) -> Composition:
+    # map applies operator.sub in C, with no Python step per gap
+    chord = row[0]
+    row[4] = comp = tuple(map(sub, (*chord[1:], OCTAVE), chord))
+    return comp
+
+
+def _fill_partition(row: list) -> Partition:
+    row[5] = parts = tuple(sorted(row[4] or _fill_composition(row)))
+    return parts
 
 
 def composition_to_chord(comp: Composition) -> Chord:

@@ -10,11 +10,13 @@ is the one definition of all three:
   four-tone chords only.  ``d`` and ``a`` are involutions.
 
 The operators permute a finite set, 2048 chords in all, so each action is
-one step in ``core``'s chord table, which holds one row ``[chord, i, d, a]``
-per chord.  ``core.chord_row`` finds a chord's row and raises
-InvalidChordError for anything that is not a chord.  An operator's slot is
-filled on first use, from ``_permute(chord, gap_permutation(op, k))``, with
-the row of the image, whose first item is the table's own tuple for it.
+one step in ``core``'s chord table, which holds one row
+``[chord, i, d, a, composition, partition]`` per chord (the last two
+answer ``core``'s converters).  ``core.chord_row`` finds a chord's row and
+raises InvalidChordError for anything that is not a chord.  An operator's
+slot is filled on first use, from
+``_permute(chord, gap_permutation(op, k))``, with the row of the image,
+whose first item is the table's own tuple for it.
 ``invert``, ``dual`` and ``augdim`` are one lookup and one slot read.
 ``apply_word`` walks the slots letter by letter, left to right (pipeline
 order, the convention used throughout the CLI), and ``orbit`` is a
@@ -81,8 +83,8 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
     return tuple(image)
 
 
-# A chord's table row is [chord, i, d, a]: slot n = 1..3 holds the
-# row of the image under _OPERATORS[n], once filled.
+# A chord's table row is [chord, i, d, a, composition, partition]: slot
+# n = 1..3 holds the row of the image under _OPERATORS[n], once filled.
 _OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
 _SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}
 _LETTER_SLOT = {letter: n for op, n in _SLOT.items() for letter in (op.value, op.value.upper())}

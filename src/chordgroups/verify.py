@@ -17,7 +17,13 @@ only that each tetrad's images under i, d and a keep its partition.
 orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one chord in
 its orbit per ordering.  ``degree-regularity``, ``components`` and
 ``isomorphism`` read the two shared graphs, whose components and
-isomorphism each process derives once, on the first verdict.
+isomorphism each process derives once, on the first verdict.  After a
+process's first verdict, ``chord_to_composition`` and
+``chord_to_partition``, like the operators, answer from chord-table slots;
+``composition_to_chord`` and ``chords_of_partition`` compute on every
+call, so ``core-roundtrip`` checks the composition slots against fresh
+prefix sums, and ``partition-fibers`` checks the partition slots of fibers
+built from orderings of the parts.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """The lazily filled state is a cache: dropping it at any time changes no answer.
 
 A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
-``classify``, ``seventh_table``, ``build_chord_graph`` and the four graph
-functions (components, isomorphism, DOT and JSON export) in any order, and
-between calls drops the per-size chord tables, the operator slots of their
-rows, the orbit memo, the gap-permutation cache or the two shared graphs'
-memos.  Every answer is checked against ``conftest``'s tone formulas, gap
-actions, golden label tables and export digests, none of which shares code
-with the library.  A returned list or dict is changed after its check, so a
-later answer that reflects the change fails.
+the two gap converters, ``classify``, ``seventh_table``,
+``build_chord_graph`` and the four graph functions (components,
+isomorphism, DOT and JSON export) in any order, and between calls drops
+the per-size chord tables, the operator slots or the composition and
+partition slots of their rows, the orbit memo, the gap-permutation cache
+or the two shared graphs' memos.  Every answer is checked against
+``conftest``'s gaps, tone formulas, gap actions, golden label tables and
+export digests, none of which shares code with the library.  A returned
+list or dict is changed after its check, so a later answer that reflects
+the change fails.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ class ChordTableCaches(RuleBasedStateMachine):
                 row[1:4] = [None, None, None]  # the i, d and a slots
 
     @rule()
+    def drop_the_gap_slots(self) -> None:
+        for table in core.CHORD_TABLES.values():
+            for row in table.values():
+                row[4:6] = [None, None]  # the composition and partition slots
+
+    @rule()
     def drop_the_orbit_memo(self) -> None:
         transform._ORBITS.clear()
 
@@ -169,6 +177,16 @@ class ChordTableCaches(RuleBasedStateMachine):
         for member in found:
             found += {_image(op, member) for op in generators} - set(found)
         assert orbit(chord, generators) == sorted(found)
+
+    @rule(chord=chords, partition_first=st.booleans())
+    def call_the_gap_converters(self, chord, partition_first) -> None:
+        # a partition's first fill fills the composition slot too, so both orders count
+        calls = [
+            (core.chord_to_composition, tuple(gaps(chord))),
+            (core.chord_to_partition, tuple(sorted(gaps(chord)))),
+        ]
+        for convert, expected in calls[::-1] if partition_first else calls:
+            assert convert(chord) == expected
 
     @rule(chord=chords)
     def call_classify(self, chord) -> None:

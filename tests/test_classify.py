@@ -95,6 +95,16 @@ def test_the_harmonic_predicates_reject_a_value_that_is_not_a_chord(predicate, v
     assert error.__context__ is None or error.__suppress_context__
 
 
+@pytest.mark.parametrize("predicate", [is_harmonic_triad, is_harmonic_seventh])
+def test_the_harmonic_predicates_check_the_chord_before_its_size(predicate):
+    # (0, 4, 7.0) has a triad's size, (0, 2, 4, 7, 9.0) neither size
+    for value in ((0, 4, 7.0), (0, 2, 4, 7, 9.0)):
+        with pytest.raises(InvalidChordError):
+            predicate(value)
+    with pytest.raises(WrongArityError):
+        predicate((0, 2, 4, 7, 9))
+
+
 class TestTriadTable:
     @pytest.mark.parametrize(
         "chord, family, inversion",

@@ -115,6 +115,49 @@ class TestGapMaps:
         with pytest.raises(EmptyChordError):
             gap_map(())
 
+    @pytest.mark.parametrize("gap_map", [chord_to_composition, chord_to_partition])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None,
+            5,
+            "0,4,7",
+            [0, 4, 7],
+            (0, 4, 7.0),
+            (False, 4, 7),
+            b"\x00",
+            object(),
+            tuple(range(13)),
+            (0, 2**70),
+        ],
+        ids=lambda value: "object()" if type(value) is object else repr(value),
+    )
+    def test_a_value_that_is_not_a_chord_is_invalid(self, gap_map, value):
+        with pytest.raises(InvalidChordError) as excinfo:
+            gap_map(value)
+        # no stray KeyError or TypeError in the traceback
+        assert excinfo.value.__context__ is None or excinfo.value.__suppress_context__
+
+    # what make_chord rejects, the converters reject with the same subclass and message
+    @pytest.mark.parametrize("gap_map", [chord_to_composition, chord_to_partition])
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            ((0, 13), ToneOutOfRangeError),
+            ((0, 4, 4), NotStrictlyIncreasingError),
+            ((3, 4), FirstToneNotZeroError),
+            ((), EmptyChordError),
+        ],
+        ids=repr,
+    )
+    def test_a_tuple_that_is_not_a_chord_raises_make_chords_error(self, gap_map, value, error):
+        with pytest.raises(InvalidChordError) as expected:
+            make_chord(value)
+        with pytest.raises(InvalidChordError) as excinfo:
+            gap_map(value)
+        assert type(excinfo.value) is type(expected.value) is error
+        assert str(excinfo.value) == str(expected.value)
+
     @pytest.mark.parametrize(
         "chord, partition",
         [
