@@ -25,14 +25,16 @@ table itself, since they need no int check.  ``format_chord`` and
 
 Everything the library fills on first use is a cache: the per-size tables
 of ``CHORD_TABLES``, the operator, composition and partition slots of
-their rows, ``transform._ORBITS``, ``gap_permutation``'s
-``functools.cache`` and each ``ChordGraph``'s ``_memo``, which holds the
-graph's components, isomorphism and DOT and JSON texts once a graph
-function has derived them.  Dropping any of them at any
-time changes no public answer, compared by equality.  A call that raises
-stores nothing, so a graph whose isomorphism fails raises on every call.
-Identity does not survive a drop: the label tables' keys are
-``make_chord``'s own tuples again only in a fresh process.
+their rows, ``_FIBERS`` (each partition's chords), ``transform._ORBITS``,
+``gap_permutation``'s ``functools.cache`` and each ``ChordGraph``'s
+``_memo``, which holds the graph's components, isomorphism and DOT and
+JSON texts once a graph function has derived them.  Dropping any of them
+at any time changes no public answer, compared by equality.  A call that
+raises stores nothing, so a graph whose isomorphism fails raises on every
+call.  Identity does not survive a drop: after ``CHORD_TABLES`` is
+dropped, the label tables' keys are ``make_chord``'s own tuples again only
+in a fresh process, and a fiber's members only once ``_FIBERS`` is
+dropped too.
 ``classify._LABELS``, ``graph._PARTNER``, the graph's node and edge Records
 in ``graph._NODES`` and ``graph._EDGES`` and its two graphs in
 ``graph._GRAPHS`` are built at import, never written afterwards (but for
@@ -332,18 +334,31 @@ def _partitions_into(total: int, k: int, minimum: int) -> Iterator[Partition]:
             yield (first, *rest)
 
 
+# partition -> its fiber, as the chord table's own tuples; filled on first use
+_FIBERS: dict[Partition, tuple[Chord, ...]] = {}
+
+
 def chords_of_partition(partition: Partition) -> list[Chord]:
-    """Every chord whose gap multiset is the given partition.
+    """Every chord whose gap multiset is the given partition, as the table's own tuples.
 
     One chord per distinct ordering of the parts; returned in lexicographic
     order (orderings and their prefix-sum chords sort identically).  What
-    ``make_partition`` rejects raises its ValueError.
+    ``make_partition`` rejects raises its ValueError.  Each fiber is built
+    once, from the orderings' prefix sums and with no chord-table slot
+    read, then kept in ``_FIBERS``; every call returns a new list.
 
     >>> chords_of_partition((3, 3, 3, 3))
     [(0, 3, 6, 9)]
     """
     parts = make_partition(partition)
-    return [composition_to_chord(comp) for comp in _distinct_orderings(parts)]
+    fiber = _FIBERS.get(parts)
+    if fiber is None:
+        table = CHORD_TABLES[len(parts)]
+        # each prefix-sum tuple swapped for the table's own, as parse_chord does
+        chords = map(composition_to_chord, _distinct_orderings(parts))
+        fiber = tuple([table[chord][0] for chord in chords])
+        _FIBERS[parts] = fiber  # stored only once the fiber is complete
+    return list(fiber)
 
 
 def _distinct_orderings(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -19,11 +19,12 @@ its orbit per ordering.  ``degree-regularity``, ``components`` and
 ``isomorphism`` read the two shared graphs, whose components and
 isomorphism each process derives once, on the first verdict.  After a
 process's first verdict, ``chord_to_composition`` and
-``chord_to_partition``, like the operators, answer from chord-table slots;
-``composition_to_chord`` and ``chords_of_partition`` compute on every
-call, so ``core-roundtrip`` checks the composition slots against fresh
-prefix sums, and ``partition-fibers`` checks the partition slots of fibers
-built from orderings of the parts.
+``chord_to_partition``, like the operators, answer from chord-table slots,
+and ``chords_of_partition`` from its fiber memo.  ``composition_to_chord``
+computes on every call, so ``core-roundtrip`` checks the composition slots
+against fresh prefix sums.  Each fiber is built once from orderings of the
+parts, reading no slot, so ``partition-fibers`` checks the partition slots
+against chords built independently of them.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """The lazily filled state is a cache: dropping it at any time changes no answer.
 
 A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
-the two gap converters, ``classify``, ``seventh_table``,
-``build_chord_graph`` and the four graph functions (components,
-isomorphism, DOT and JSON export) in any order, and between calls drops
-the per-size chord tables, the operator slots or the composition and
-partition slots of their rows, the orbit memo, the gap-permutation cache
-or the two shared graphs' memos.  Every answer is checked against
-``conftest``'s gaps, tone formulas, gap actions, golden label tables and
-export digests, none of which shares code with the library.  A returned
-list or dict is changed after its check, so a later answer that reflects
-the change fails.
+the two gap converters, ``chords_of_partition``, ``classify``,
+``seventh_table``, ``build_chord_graph`` and the four graph functions
+(components, isomorphism, DOT and JSON export) in any order, and between
+calls drops the per-size chord tables, the operator slots or the
+composition and partition slots of their rows, the fiber memo, the orbit
+memo, the gap-permutation cache or the two shared graphs' memos.  Every
+answer is checked against ``conftest``'s gaps, tone formulas, gap actions,
+golden label tables and export digests, none of which shares code with the
+library.  A returned list or dict is changed after its check, so a later
+answer that reflects the change fails.
 """
 
 from __future__ import annotations
@@ -97,9 +97,17 @@ def _image(op: Operator, chord: tuple) -> tuple:
 
 
 CHORDS = [(0, *rest) for k in range(2, 13) for rest in combinations(range(1, 12), k - 1)]
+# partition -> its chords, sorted: the chords of its size whose sorted gaps it is
+FIBERS: dict = {}
+for _chord in [(0,), *CHORDS]:
+    FIBERS.setdefault(tuple(sorted(gaps(_chord))), []).append(_chord)
 # half the draws are harmonic, so a dropped table meets a labelled chord often
 chords = st.one_of(st.sampled_from([*GOLDEN[3], *GOLDEN[4]]), st.sampled_from(CHORDS))
 tetrads = st.sampled_from([c for c in CHORDS if len(c) == 4])
+# half the draws are the harmonic classes' partitions, so a later call often
+# meets a fiber whose earlier answer was changed
+HARMONIC_PARTITIONS = [(3, 4, 5), (1, 3, 4, 4), (2, 3, 3, 4), (3, 3, 3, 3)]
+partitions = st.one_of(st.sampled_from(HARMONIC_PARTITIONS), st.sampled_from(sorted(FIBERS)))
 
 
 class ChordTableCaches(RuleBasedStateMachine):
@@ -107,6 +115,7 @@ class ChordTableCaches(RuleBasedStateMachine):
         super().__init__()
         self.tables = dict(core.CHORD_TABLES)
         self.orbits = dict(transform._ORBITS)
+        self.fibers = dict(core._FIBERS)
 
     def teardown(self) -> None:
         # other tests hold the table's own tuples and compare them by identity
@@ -114,6 +123,8 @@ class ChordTableCaches(RuleBasedStateMachine):
         core.CHORD_TABLES.update(self.tables)
         transform._ORBITS.clear()
         transform._ORBITS.update(self.orbits)
+        core._FIBERS.clear()
+        core._FIBERS.update(self.fibers)
 
     @rule()
     def drop_the_chord_tables(self) -> None:
@@ -130,6 +141,10 @@ class ChordTableCaches(RuleBasedStateMachine):
         for table in core.CHORD_TABLES.values():
             for row in table.values():
                 row[4:6] = [None, None]  # the composition and partition slots
+
+    @rule()
+    def drop_the_fiber_memo(self) -> None:
+        core._FIBERS.clear()
 
     @rule()
     def drop_the_orbit_memo(self) -> None:
@@ -187,6 +202,14 @@ class ChordTableCaches(RuleBasedStateMachine):
         ]
         for convert, expected in calls[::-1] if partition_first else calls:
             assert convert(chord) == expected
+
+    @rule(partition=partitions, reverse=st.booleans())
+    def call_chords_of_partition(self, partition, reverse) -> None:
+        # the parts in descending order too: both orders name one fiber
+        fiber = core.chords_of_partition(partition[::-1] if reverse else partition)
+        assert fiber == FIBERS[partition]
+        fiber.reverse()
+        fiber.pop()
 
     @rule(chord=chords)
     def call_classify(self, chord) -> None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 
@@ -9,6 +12,7 @@ from conftest import gaps
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chordgroups import core
 from chordgroups.core import (
     EmptyChordError,
     FirstToneNotZeroError,
@@ -319,6 +323,65 @@ class TestChordsOfPartition:
                 assert chord_to_partition(chord) == partition
             covered.extend(fiber)
         assert sorted(covered) == [(0, *rest) for rest in combinations(range(1, 12), k - 1)]
+
+    ALL_PARTITIONS = [p for k in range(1, 13) for p in enumerate_partitions(k)]
+
+    @pytest.fixture
+    def fibers(self, monkeypatch):
+        """An empty fiber memo for one test; the process's own comes back after it."""
+        memo: dict = {}
+        monkeypatch.setattr(core, "_FIBERS", memo)
+        return memo
+
+    def test_a_changed_answer_changes_no_later_answer(self, fibers):
+        first = chords_of_partition((3, 4, 5))
+        expected = list(first)
+        first.reverse()
+        first.append((0, 1, 2))
+        second = chords_of_partition((3, 4, 5))
+        assert second == expected
+        second.clear()
+        assert chords_of_partition((3, 4, 5)) == expected
+
+    def test_members_are_the_chord_tables_own_tuples(self, fibers):
+        for _ in ("cold", "warm"):
+            for partition in self.ALL_PARTITIONS:
+                for member in chords_of_partition(partition):
+                    assert member is make_chord(member)
+        assert len(fibers) == len(self.ALL_PARTITIONS) == 77
+
+    def test_the_parts_in_any_order_share_one_entry(self, fibers):
+        assert chords_of_partition([5, 4, 3]) == chords_of_partition((3, 4, 5))
+        assert list(fibers) == [(3, 4, 5)]
+
+    def test_a_call_that_raises_stores_nothing(self):
+        before = dict(core._FIBERS)
+        with pytest.raises(ValueError):
+            chords_of_partition((5, 5, 5))
+        assert core._FIBERS == before
+
+    def test_threads_sharing_the_memo_get_the_single_threaded_fibers(self, fibers):
+        partitions = self.ALL_PARTITIONS
+        expected = [chords_of_partition(p) for p in partitions]
+        fibers.clear()
+        start = threading.Barrier(4)
+
+        def fill(offset):
+            start.wait(timeout=60)
+            # each thread starts at a different partition, so their fills overlap
+            order = partitions[offset:] + partitions[:offset]
+            return {p: chords_of_partition(p) for p in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(fill, [0, 19, 38, 57], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [result[p] for p in partitions] == expected
+        assert len(fibers) == len(partitions)
 
 
 class TestTextForms:

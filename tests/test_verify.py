@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from chordgroups import verify
+from chordgroups import core, verify
 from chordgroups.classify import ChordLabel, SeventhFamily, TriadFamily
 from chordgroups.core import (
     chord_to_partition,
@@ -82,6 +82,27 @@ def test_partition_fibers_name_a_leaking_fiber(monkeypatch):
     fiber = verify.chords_of_partition((3, 4, 5))
     _plant_value(monkeypatch, "chords_of_partition", (3, 4, 5), [*fiber, (0, 1, 2)])
     assert CHECKS["partition-fibers"]() == (False, "fiber of (3, 4, 5) leaks")
+
+
+# After a first verdict the converters answer from chord-table slots and each
+# fiber from the fiber memo; a wrong slot must still fail the check that
+# compares it with chords built from prefix sums, so neither memo is checked
+# against itself.
+@pytest.mark.parametrize(
+    "slot, value, check, detail",
+    [
+        (5, (1, 2, 9), "partition-fibers", "fiber of (3, 4, 5) leaks"),
+        (4, (3, 4, 5), "core-roundtrip", "round trip broke at (0, 4, 7)"),
+    ],
+    ids=["partition-slot", "composition-slot"],
+)
+def test_a_warm_verdict_catches_a_wrong_slot(monkeypatch, slot, value, check, detail):
+    assert _failures() == {}
+    table = core.CHORD_TABLES[3]
+    wrong = list(table[0, 4, 7])
+    wrong[slot] = value
+    monkeypatch.setitem(table, (0, 4, 7), wrong)
+    assert _failures()[check] == detail
 
 
 # a chord missing and a chord counted twice: the fibers must cover each chord once
