@@ -7,12 +7,20 @@ an operator meets a chord of the wrong size.
 ``graph`` and ``verify`` are imported by their own commands only, so the
 one-shot commands (classify, apply, orbit, partition, enumerate) load no
 more than ``core``, ``transform`` and ``classify``.  No command loads ``json``.
+
+``GRAMMAR`` states the command line once.  A plain command line (the
+command, its positionals, and each of its options once, spelled in full,
+with a valid value not starting with ``-``) is read by ``_read`` and loads
+no ``argparse``.  Every other argv loads ``argparse`` and goes to
+``build_parser().parse_args``: ``-h``, usage errors, abbreviated options,
+``--opt=value``, a repeated option and ``--``.  So argparse prints every
+help and usage text, and a handler gets the same attributes either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .classify import classify as classify_chord
 from .core import (
@@ -33,33 +41,33 @@ EXIT_USAGE = 2
 EXIT_ARITY = 3
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: SimpleNamespace) -> int:
     chord = parse_chord(args.chord)
     print(format_chord(apply_word(args.word, chord)))
     return EXIT_OK
 
 
-def _cmd_orbit(args: argparse.Namespace) -> int:
+def _cmd_orbit(args: SimpleNamespace) -> int:
     chord = parse_chord(args.chord)
     for member in orbit(chord, parse_generators(args.generators)):
         print(format_chord(member))
     return EXIT_OK
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     label = classify_chord(parse_chord(args.chord))
     print(str(label) if label is not None else "not harmonic")
     return EXIT_OK
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _cmd_partition(args: SimpleNamespace) -> int:
     chord = parse_chord(args.chord)
     parts = chord_to_composition(chord) if args.ordered else chord_to_partition(chord)
     print(format_parts(parts))
     return EXIT_OK
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     k = args.tones
     if args.harmonic:
         if k not in (3, 4):
@@ -74,7 +82,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: SimpleNamespace) -> int:
     from .graph import build_chord_graph, export_dot, export_json
 
     export = export_dot if args.format == "dot" else export_json
@@ -87,7 +95,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .verify import run_checks
 
     all_passed = True
@@ -99,60 +107,112 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line grammar, stated once: each command's help, handler and
+# arguments, each argument as the name and keywords of argparse's
+# ``add_argument``.  build_parser() hands them to argparse; _read() reads a
+# plain command line by them.
+GRAMMAR = {
+    "apply": ("apply an operator word to a chord", _cmd_apply, (
+        ("word", {"help": "word over i, d, a (left to right); empty string is the identity"}),
+        ("chord", {"help": 'chord like "0,4,7"'}),
+    )),
+    "orbit": ("close a chord under a set of operators", _cmd_orbit, (
+        ("generators", {"help": 'comma list over i, d, a — e.g. "i,d"'}),
+        ("chord", {"help": 'chord like "0,4,7"'}),
+    )),
+    "classify": ("label a 3- or 4-tone chord", _cmd_classify, (
+        ("chord", {"help": 'chord like "0,4,7,11"'}),
+    )),
+    "partition": ("show the gap structure of a chord", _cmd_partition, (
+        ("chord", {"help": 'chord like "0,4,7"'}),
+        ("--ordered", {
+            "action": "store_true",
+            "help": "keep the gaps in chord order instead of sorting them",
+        }),
+    )),
+    "enumerate": ("list chords of a given size", _cmd_enumerate, (
+        ("--tones", {"type": int, "required": True, "help": "chord size (1..12)"}),
+        ("--harmonic", {
+            "action": "store_true",
+            "help": "only harmonic chords, with labels (sizes 3 and 4)",
+        }),
+    )),
+    "graph": ("export the harmonic four-tone chord graph", _cmd_graph, (
+        ("--format", {"choices": ("dot", "json"), "default": "dot"}),
+        ("--include-dd", {"action": "store_true", "help": "include the fully fixed dd chord"}),
+        ("--output", {"metavar": "PATH", "help": "write to a file instead of stdout"}),
+    )),
+    "verify": ("run the library's invariant self-checks", _cmd_verify, ()),
+}
+
+
+def build_parser():
+    """argparse's parser for GRAMMAR, which prints every help and usage text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chordgroups",
         description="Operate on pitch-class chords: inversion, major-minor duality, "
         "augmented-diminished duality, harmonic classification, and the chord graph.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("apply", help="apply an operator word to a chord")
-    p.add_argument("word", help="word over i, d, a (left to right); empty string is the identity")
-    p.add_argument("chord", help='chord like "0,4,7"')
-    p.set_defaults(handler=_cmd_apply)
-
-    p = subparsers.add_parser("orbit", help="close a chord under a set of operators")
-    p.add_argument("generators", help='comma list over i, d, a — e.g. "i,d"')
-    p.add_argument("chord", help='chord like "0,4,7"')
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = subparsers.add_parser("classify", help="label a 3- or 4-tone chord")
-    p.add_argument("chord", help='chord like "0,4,7,11"')
-    p.set_defaults(handler=_cmd_classify)
-
-    p = subparsers.add_parser("partition", help="show the gap structure of a chord")
-    p.add_argument("chord", help='chord like "0,4,7"')
-    p.add_argument(
-        "--ordered",
-        action="store_true",
-        help="keep the gaps in chord order instead of sorting them",
-    )
-    p.set_defaults(handler=_cmd_partition)
-
-    p = subparsers.add_parser("enumerate", help="list chords of a given size")
-    p.add_argument("--tones", type=int, required=True, help="chord size (1..12)")
-    p.add_argument(
-        "--harmonic",
-        action="store_true",
-        help="only harmonic chords, with labels (sizes 3 and 4)",
-    )
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = subparsers.add_parser("graph", help="export the harmonic four-tone chord graph")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--include-dd", action="store_true", help="include the fully fixed dd chord")
-    p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-    p.set_defaults(handler=_cmd_graph)
-
-    p = subparsers.add_parser("verify", help="run the library's invariant self-checks")
-    p.set_defaults(handler=_cmd_verify)
-
+    for command, (help_text, handler, arguments) in GRAMMAR.items():
+        p = subparsers.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for a plain command line, else None.
+
+    Plain: a command, then its positionals and the exact spelling of its
+    options, each option once, with every value its converter and choices
+    accept and none starting with "-".  Anything else is argparse's to
+    read, or to refuse with its usage text.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, handler, arguments = GRAMMAR[argv[0]]
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    options = {name: spec for name, spec in arguments if name.startswith("-")}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = token
+            continue
+        spec = options.pop(token, None)  # so a repeated option is unknown
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            value = True
+        else:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        values[token[2:].replace("-", "_")] = value
+    if positionals or any(spec.get("required") for spec in options.values()):
+        return None
+    for name, spec in options.items():
+        flag = spec.get("action") == "store_true"
+        values[name[2:].replace("-", "_")] = spec.get("default", False if flag else None)
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except WrongArityError as exc:

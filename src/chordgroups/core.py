@@ -20,8 +20,7 @@ is the one chord validation: ``make_chord``, the operators and ``classify``
 all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
 table itself, since they need no int check.  ``format_chord`` and
 ``format_parts`` validate too, and so do ``chord_to_composition`` and
-``chord_to_partition``, whose answers are slots of the chord's row; only
-``composition_to_chord`` assumes an already-validated value.
+``chord_to_partition``, whose answers are slots of the chord's row.
 
 Everything the library fills on first use is a cache: the per-size tables
 of ``CHORD_TABLES``, the operator, composition and partition slots of

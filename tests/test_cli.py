@@ -5,13 +5,16 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordgroups import verify
-from chordgroups.cli import main
+from chordgroups.cli import GRAMMAR, _read, build_parser, main
 
 from conftest import EXPORT_SHA256, GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, run_python
 
@@ -231,6 +234,11 @@ class TestUsage:
     def test_unknown_command_is_a_usage_error(self, invoke):
         assert invoke("transmogrify")[0] == 2
 
+    def test_no_argv_reads_the_process_arguments(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["chordgroups", "classify", "0,4,7"])
+        assert main() == 0
+        assert capsys.readouterr().out == "Major0\n"
+
     def test_the_cli_module_runs_as_a_script(self):
         # ``python -m chordgroups.cli`` reaches main() through cli.py's main guard only
         result = run_python("-m", "chordgroups.cli", "classify", "0,4,7")
@@ -267,3 +275,96 @@ def test_any_argv_ends_with_a_contract_exit_code(scratch_dir, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# tests/cli_usage.golden, by command line: its exit code, stdout and stderr
+_, *_BLOCKS = re.split(
+    r"^=== (.*)\n",
+    (Path(__file__).parent / "cli_usage.golden").read_text(encoding="utf-8"),
+    flags=re.M,
+)
+GOLDEN_USAGE = dict(zip(_BLOCKS[::2], _BLOCKS[1::2]))
+
+
+# argparse's help and usage texts, the same bytes on Python 3.10 to 3.13
+USAGE_ARGVS = [
+    ["-h"],
+    *([command, "-h"] for command in GRAMMAR),
+    [],
+    ["classify"],
+    ["frobnicate"],
+    ["graph", "--format", "xml"],
+    ["enumerate", "--tones", "x"],
+    ["classify", "0,4,7", "extra"],
+    ["enumerate", "--tones", "4", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=shlex.join)
+def test_help_and_usage_texts_are_argparses(invoke, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = invoke(*argv)
+    header = shlex.join(["chordgroups", *argv])
+    assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == GOLDEN_USAGE[header]
+
+
+# The plain form of every command kind the benchmark's cli-oneshot workload runs.
+PLAIN_ARGVS = [
+    ["classify", "0,4,7"],
+    ["classify", "0,4,x"],
+    ["apply", "iddaid", "0,1,3,7"],
+    ["apply", "", "0,4,7"],
+    ["orbit", "i,d", "0,4,7,11"],
+    ["partition", "0,4,7"],
+    ["partition", "0,4,7", "--ordered"],
+    ["partition", "--ordered", "0,4,7"],
+    ["enumerate", "--tones", "4", "--harmonic"],
+    ["enumerate", "--harmonic", "--tones", "3"],
+    ["enumerate", "--tones", "13"],
+    ["graph"],
+    ["graph", "--format", "json", "--include-dd"],
+    ["graph", "--include-dd", "--format", "dot", "--output", "graph.dot"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=shlex.join)
+def test_the_reader_reads_each_plain_form_as_argparse_does(argv):
+    args = _read(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAMMAR)),
+    st.lists(st.one_of(st.sampled_from(ARGV_TOKENS), st.text(max_size=6)), max_size=5),
+)
+def test_whatever_the_reader_accepts_argparse_reads_the_same(command, rest):
+    argv = [command, *rest]
+    args = _read(argv)
+    if args is not None:  # refusing is always sound: argparse reads it instead
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+# Not plain, so the reader refuses them; argparse reads each as before.
+NOT_PLAIN = [
+    (["enumerate", "--tone", "4"], {"tones": 4, "harmonic": False}),  # an abbreviation
+    (["graph", "--format=json"], {"format": "json", "include_dd": False, "output": None}),
+    (["enumerate", "--tones", "-1"], {"tones": -1, "harmonic": False}),
+    (["partition", "--ordered", "--ordered", "0,4,7"], {"chord": "0,4,7", "ordered": True}),
+    (["apply", "--", "i", "0,4,7"], {"word": "i", "chord": "0,4,7"}),
+    (["classify", "-h"], None),  # help, then exit 0
+]
+
+
+@pytest.mark.parametrize("argv, expected", NOT_PLAIN, ids=[shlex.join(a) for a, _ in NOT_PLAIN])
+def test_the_reader_leaves_the_rest_to_argparse(capsys, argv, expected):
+    assert _read(argv) is None
+    if expected is None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert (exc.value.code, capsys.readouterr().out.startswith("usage:")) == (0, True)
+        return
+    args = vars(build_parser().parse_args(argv))
+    assert args == {"command": argv[0], "handler": GRAMMAR[argv[0]][1], **expected}

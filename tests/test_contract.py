@@ -35,8 +35,6 @@ DOCUMENTED = (
 
 # the type aliases are callable, but they are tuple[int, ...], not library code
 ALIASES = {"Chord", "Composition", "Partition"}
-# core's docstring carves it out: it assumes an already-validated composition
-EXEMPT = {"composition_to_chord"}
 
 GRAPH = build_chord_graph()
 TETRAD = (0, 4, 7, 11)
@@ -110,7 +108,7 @@ BATTERY = {
 
 
 def test_every_public_callable_is_covered():
-    assert set(VALID_ARGUMENTS) == set(chordgroups.__all__) - ALIASES - EXEMPT
+    assert set(VALID_ARGUMENTS) == set(chordgroups.__all__) - ALIASES
     assert all(callable(getattr(chordgroups, name)) for name in VALID_ARGUMENTS)
 
 

@@ -21,6 +21,9 @@ NOT_LOADED_BY_ONE_SHOT_COMMANDS = (
 # export_json writes its JSON text itself, so no command loads these.
 JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
 
+# argparse and what it loads for its texts; the CLI reads plain command lines itself.
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+
 
 @pytest.mark.parametrize(
     "argv, first_line, watched, loaded",
@@ -35,8 +38,8 @@ JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
 def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     # The child runs without site (-S), whose start-up can import typing
     # itself, so that what is loaded is what the command loaded; no command
-    # loads typing.
-    watched = (*watched, "typing")
+    # loads typing, and a plain command line loads no argparse.
+    watched = (*watched, "typing", *ARGPARSE_MODULES)
     # runpy.run_module is what ``python -m chordgroups`` runs.
     code = (
         "import contextlib, io, runpy, sys\n"
@@ -82,7 +85,7 @@ def test_graph_first_keeps_classify_a_function_and_star_binds_all():
     report = json.loads(run_python("-c", code).stdout)
     assert report["classify_is_function"]
     assert report["star"] == sorted(report["all"])
-    assert len(report["all"]) == len(set(report["all"])) == 49
+    assert len(report["all"]) == len(set(report["all"])) == 48
 
 
 def test_dir_lists_every_public_name():
