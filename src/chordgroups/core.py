@@ -388,7 +388,9 @@ def parse_chord(text: str) -> Chord:
     """Parse chord text like ``"0,4,7"`` (parentheses and spaces tolerated).
 
     Tones are ASCII decimal numbers: the extra forms ``int()`` reads, such
-    as ``"+4"``, ``"1_1"`` or non-ASCII digits, are rejected, as is a non-str.
+    as ``"+4"``, ``"-0"``, ``"1_1"`` or non-ASCII digits, are rejected, as is
+    a non-str.  A negative tone such as ``"-3"`` is read, and rejected as out
+    of range.
     Returns the chord table's own tuple, and rejects text that is not a
     chord with ``make_chord``'s subclass and message.
 
@@ -411,6 +413,8 @@ def parse_chord(text: str) -> Chord:
         tones = tuple(map(int, body.split(",")))
     except ValueError:
         raise InvalidChordError(f"cannot parse chord text {text!r}") from None
+    if "-0" in body and any(t == 0 and "-" in s for s, t in zip(body.split(","), tones)):
+        raise InvalidChordError(f"cannot parse chord text {text!r}")  # a signed zero
     try:
         return CHORD_TABLES[len(tones)][tones][0]
     except KeyError:

@@ -6,25 +6,29 @@ reference tables here are intentionally written out by hand: the library
 computes its tables from the family roots, so agreement is evidence, not
 circularity.
 
-``relations(k)`` for k = 2..6 checks on every k-tone chord that i rotates
-its gaps left, d reverses them and, for k = 4, a swaps the middle two
-(``_gap_law``), so a broken tetrad operator is reported under
-``relations(k=4)``.  It then checks the relations on ``gap_permutation``'s
-k-gap permutations: i^k = 1, d and (k = 4) a are involutions, and
-d∘i^n = i^((k-n) mod k)∘d for n = 0..k.  ``composition-action`` checks
-only that each tetrad's images under i, d and a keep its partition.
-``permutation-closure`` checks that the operators reach all 24
-orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one chord in
-its orbit per ordering.  ``degree-regularity``, ``components`` and
+``relations(k)`` for k = 2..6 checks on every k-tone chord that the gaps of
+its image under i are its gaps rotated left, under d its gaps reversed and,
+for k = 4, under a its gaps with the middle two swapped (``_gap_law``), so
+a broken tetrad operator is reported under ``relations(k=4)``.  The law
+compares gap tuples and builds no chord.  It then checks the relations on
+``gap_permutation``'s k-gap permutations: i^k = 1, d and (k = 4) a are
+involutions, and d∘i^n = i^((k-n) mod k)∘d for n = 0..k.
+``composition-action`` checks only that each tetrad's images under i, d and
+a keep its partition.  ``permutation-closure`` checks that the operators
+reach all 24 orderings of the distinct gaps 1, 2, 4, 5 of (0, 1, 3, 7), one
+chord in its orbit per ordering.  ``degree-regularity``, ``components`` and
 ``isomorphism`` read the two shared graphs, whose components and
 isomorphism each process derives once, on the first verdict.  After a
 process's first verdict, ``chord_to_composition`` and
 ``chord_to_partition``, like the operators, answer from chord-table slots,
 and ``chords_of_partition`` from its fiber memo.  ``composition_to_chord``
-computes on every call, so ``core-roundtrip`` checks the composition slots
-against fresh prefix sums.  Each fiber is built once from orderings of the
-parts, reading no slot, so ``partition-fibers`` checks the partition slots
-against chords built independently of them.
+computes on every call, and only ``core-roundtrip`` calls it, so that check
+compares the composition slots with fresh prefix sums.  A converter fault
+that commutes with the gap permutations, such as one that swaps two gap
+values wherever a chord has as many of the one as of the other, keeps every
+gap law and is reported by ``core-roundtrip``.  Each fiber is built once
+from orderings of the parts, reading no slot, so ``partition-fibers``
+checks the partition slots against chords built independently of them.
 """
 
 from __future__ import annotations
@@ -117,18 +121,21 @@ def _check_partition_fibers() -> CheckResult:
 def _gap_law(k: int) -> str:
     """The first law of i, d and (k = 4) a that a k-tone chord breaks, or "".
 
-    At each chord every image is taken before any law is tested, and the
+    Each law compares two gap tuples: the image's gaps, read from its
+    tones, with the chord's gaps, permuted.  The image comes from the
+    operator's own prefix sums, so the two sides are computed apart.  At
+    each chord every image is taken before any law is tested, and the
     laws are tested in the order i, d, a.
     """
     for chord in enumerate_chords(k):
         i, d = invert(chord), dual(chord)
         a = augdim(chord) if k == 4 else None
         g = chord_to_composition(chord)
-        if i != composition_to_chord(g[1:] + g[:1]):
+        if chord_to_composition(i) != g[1:] + g[:1]:
             return f"inversion is not rotate-left at {chord}"
-        if d != composition_to_chord(g[::-1]):
+        if chord_to_composition(d) != g[::-1]:
             return f"duality is not reverse at {chord}"
-        if k == 4 and a != composition_to_chord((g[0], g[2], g[1], g[3])):
+        if k == 4 and chord_to_composition(a) != (g[0], g[2], g[1], g[3]):
             return f"augdim is not the middle swap at {chord}"
     return ""
 

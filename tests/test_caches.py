@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import accumulate, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -44,6 +45,7 @@ from conftest import (
     GOLDEN_HARMONIC_TRIADS,
     TONE_FORMULAS,
     gaps,
+    run_python,
 )
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
@@ -269,3 +271,13 @@ class ChordTableCaches(RuleBasedStateMachine):
 
 TestChordTableCaches = ChordTableCaches.TestCase
 TestChordTableCaches.settings = settings(max_examples=40, stateful_step_count=20, deadline=None)
+
+
+def test_the_stdlib_checks_pass_without_site():
+    # the checks CI runs on every supported Python with nothing installed
+    script = Path(__file__).with_name("stdlib_checks.py")
+    assert run_python("-S", "-X", "dev", "-W", "error", str(script)).stdout == (
+        "The gap converters equal the tone differences on every chord: PASS\n"
+        "Each partition's fiber equals the chords with its gaps: PASS\n"
+        "Changing a graph answer changes no later answer: PASS\n"
+    )

@@ -427,7 +427,9 @@ class TestTextForms:
         assert str(excinfo.value) == str(expected.value)
 
     @pytest.mark.parametrize(
-        "text", ["", "  ", "()", "0,4,x", "0;4;7", "0,1_1", "0,+4,7", "0,\u0664,7"]
+        "text",
+        ["", "  ", "()", "0,4,x", "0;4;7", "0,1_1", "0,+4,7", "0,\u0664,7"]
+        + ["+0,4,7", "-0,4,7", "0,-0,7", "0,4,-00", "( -0 )"],  # signed zeros
     )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(InvalidChordError):
@@ -450,6 +452,11 @@ class TestTextForms:
             ("0,\u0664,7", InvalidChordError, "cannot parse chord text '0,\u0664,7'"),
             ("0,1_1", InvalidChordError, "cannot parse chord text '0,1_1'"),
             ("0,+4,7", InvalidChordError, "cannot parse chord text '0,+4,7'"),
+            # a signed zero is no tone; a negative tone is read and out of range
+            ("-0,4,7", InvalidChordError, "cannot parse chord text '-0,4,7'"),
+            ("0,4,-0", InvalidChordError, "cannot parse chord text '0,4,-0'"),
+            ("0,-3,7", ToneOutOfRangeError, "tone -3 is outside 0..11"),
+            ("0,-03,7", ToneOutOfRangeError, "tone -3 is outside 0..11"),
             ("0,4,x", InvalidChordError, "cannot parse chord text '0,4,x'"),
             ("0,4,12", ToneOutOfRangeError, "tone 12 is outside 0..11"),
             ("1,4,8", FirstToneNotZeroError, "a chord starts at 0, got 1"),

@@ -10,11 +10,20 @@ well.  A broken tetrad operator is reported under ``relations(k=4)`` only:
 ``composition-action`` checks just that each tetrad's images keep its
 partition, so its mutants sit at the last tetrad: an image with another
 partition fails it, one with the same partition is left to
-``relations(k=4)``.  The other mutants replace one value of a function
-``verify`` imports and pin the exact detail of the check that uses it.
+``relations(k=4)``.  An image that is not a chord at all fails
+``relations(k)`` with the converter's error.  The gap law compares gap
+tuples and builds no chord: ``composition_to_chord`` runs in
+``core-roundtrip`` only, so a ``chord_to_composition`` fault that commutes
+with the gap permutations keeps every gap law and is reported by
+``core-roundtrip`` alone.  The other mutants replace one value of a
+function ``verify`` imports and pin the exact detail of the check that
+uses it.
 """
 
 from __future__ import annotations
+
+import sys
+from collections import Counter
 
 import pytest
 
@@ -103,6 +112,81 @@ def test_a_warm_verdict_catches_a_wrong_slot(monkeypatch, slot, value, check, de
     wrong[slot] = value
     monkeypatch.setitem(table, (0, 4, 7), wrong)
     assert _failures()[check] == detail
+
+
+def test_a_warm_verdict_builds_chords_in_core_roundtrip_only(monkeypatch):
+    # one prefix sum per chord in core-roundtrip; the gap laws and the warm
+    # fibers build no chord
+    assert _failures() == {}
+    callers = Counter()
+    real = core.composition_to_chord
+
+    def counted(comp):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(comp)
+
+    monkeypatch.setattr(verify, "composition_to_chord", counted)
+    monkeypatch.setattr(core, "composition_to_chord", counted)
+    assert _failures() == {}
+    # 1 + 11 + 55 + 165 + 330 + 462 chords of 1..6 tones
+    assert callers == {"_check_roundtrip": 1024}
+
+
+def _swap_threes_and_fours(gaps):
+    """Gaps 3 and 4 swapped where a chord has as many of each: the sum stays 12."""
+    if gaps.count(3) != gaps.count(4):
+        return gaps
+    return tuple({3: 4, 4: 3}.get(gap, gap) for gap in gaps)
+
+
+# A converter fault that commutes with every gap permutation keeps every gap
+# law, so only core-roundtrip's prefix sums can report it.  Rotating the gaps
+# commutes with i but not with d, so the d law fails from three tones up.
+@pytest.mark.parametrize(
+    "change, failures",
+    [
+        pytest.param(
+            _swap_threes_and_fours,
+            {"core-roundtrip": "round trip broke at (0, 3, 7)"},
+            id="threes-and-fours-swapped",
+        ),
+        pytest.param(
+            lambda gaps: gaps[1:] + gaps[:1],
+            {
+                "core-roundtrip": "round trip broke at (0, 1)",
+                "relations(k=3)": "duality is not reverse at (0, 1, 2)",
+                "relations(k=4)": "duality is not reverse at (0, 1, 2, 3)",
+                "relations(k=5)": "duality is not reverse at (0, 1, 2, 3, 4)",
+                "relations(k=6)": "duality is not reverse at (0, 1, 2, 3, 4, 5)",
+            },
+            id="rotated-by-one",
+        ),
+    ],
+)
+def test_a_converter_fault_fails_core_roundtrip(monkeypatch, change, failures):
+    _plant_call(monkeypatch, "chord_to_composition", change)
+    assert _failures() == failures
+
+
+# An image that is not a chord: the gap law reads its gaps through
+# chord_to_composition, so relations(k) fails, with a law's detail for a chord
+# of another size and with the InvalidChordError of a value that is no chord.
+@pytest.mark.parametrize(
+    "name, k, image, detail",
+    [
+        ("invert", 3, (0, 4), "inversion is not rotate-left at (0, 10, 11)"),
+        ("dual", 5, (0, 4, 7), "duality is not reverse at (0, 8, 9, 10, 11)"),
+        ("augdim", 4, (0, 4, 7, 10, 11), "augdim is not the middle swap at (0, 9, 10, 11)"),
+        ("invert", 2, (0, 12), "ToneOutOfRangeError: tone 12 is outside 0..11"),
+        ("dual", 6, [0, 4, 7], "InvalidChordError: a chord is a tuple of ints, got [0, 4, 7]"),
+        ("augdim", 4, (0, 4, 7, 11.0), "InvalidChordError: tone 11.0 is not an int"),
+    ],
+    ids=repr,
+)
+def test_an_image_that_is_no_chord_of_the_size_fails_relations(monkeypatch, name, k, image, detail):
+    _plant(monkeypatch, name, {enumerate_chords(k)[-1]: image})
+    results = {check: (passed, text) for check, passed, text in verify.run_checks()}
+    assert results[f"relations(k={k})"] == (False, detail)
 
 
 # a chord missing and a chord counted twice: the fibers must cover each chord once
