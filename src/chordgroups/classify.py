@@ -52,10 +52,6 @@ class SeventhFamily(Enum):
     mm = "mm"
     dd = "dd"
 
-    # As transform.Operator: identity hashing keeps the graph's per-node family
-    # lookups out of Enum's Python-level __hash__.
-    __hash__ = object.__hash__
-
 
 Family = TriadFamily | SeventhFamily
 

@@ -6,7 +6,8 @@ an operator meets a chord of the wrong size.
 
 ``graph`` and ``verify`` are imported by their own commands only, so the
 one-shot commands (classify, apply, orbit, partition, enumerate) load no
-more than ``core``, ``transform`` and ``classify``.  No command loads ``json``.
+more than ``core``, ``transform`` and ``classify``.  Only
+``graph --format json`` loads ``json``.
 
 ``GRAMMAR`` states the command line once.  A plain command line (the
 command, its positionals, and each of its options once, spelled in full,

@@ -469,7 +469,8 @@ class TestJsonExportIsJsonDumps:
         assert text == _json_dumps_export(ChordGraph((), ()))
         assert text == '{\n  "edges": [],\n  "nodes": []\n}\n'
 
-    # so the templates quote no string and always fill the "chord" array
+    # the constructors admit no node with an empty chord and no edge whose
+    # ends are not node ids, so every string a graph holds is a label's id
     def test_no_graph_holds_a_string_to_escape_or_an_empty_chord(self):
         with pytest.raises(EmptyChordError):
             GraphNode((), ChordLabel(TriadFamily.MAJOR, 0))

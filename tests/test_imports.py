@@ -18,7 +18,8 @@ NOT_LOADED_BY_ONE_SHOT_COMMANDS = (
 )
 
 
-# export_json writes its JSON text itself, so no command loads these.
+# Only export_json imports json, on its first call: graph --format json loads
+# these, and no other command does.
 JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
 
 # argparse and what it loads for its texts; the CLI reads plain command lines itself.
@@ -31,14 +32,15 @@ ARGPARSE_MODULES = ("argparse", "gettext", "locale")
         ("classify 0,4,7,10", "Mm0", NOT_LOADED_BY_ONE_SHOT_COMMANDS, ()),
         ("graph --format dot", "digraph chord_graph {", JSON_MODULES, ()),
         ("verify", "core-roundtrip: PASS", JSON_MODULES, ()),
-        ("graph --format json", "{", JSON_MODULES, ()),
+        ("graph --format json", "{", JSON_MODULES, JSON_MODULES),
     ],
     ids=["classify", "graph-dot", "verify", "graph-json"],
 )
 def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     # The child runs without site (-S), whose start-up can import typing
     # itself, so that what is loaded is what the command loaded; no command
-    # loads typing, and a plain command line loads no argparse.
+    # loads typing, a plain command line loads no argparse, and only the JSON
+    # export loads json.
     watched = (*watched, "typing", *ARGPARSE_MODULES)
     # runpy.run_module is what ``python -m chordgroups`` runs.
     code = (
