@@ -34,15 +34,19 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter that imports the package from this checkout; it must exit 0."""
-    return subprocess.run(
+    """A new interpreter that imports the package from this checkout; it must exit 0.
+
+    Any other exit fails the calling test with the child's stderr as the message.
+    """
+    result = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=60,
-        check=True,
     )
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 def gaps(chord):

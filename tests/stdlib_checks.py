@@ -9,6 +9,11 @@ Each check prints ``name: PASS``; the first failure exits 1 with
 ``CHECKS``.  ``graph`` is imported by the last check only, since its import
 fills tetrad composition slots and a fiber: the first two checks start
 from what a bare ``import chordgroups`` leaves.
+
+The first two checks are the one place where the converters' and the
+fibers' answers are checked on every chord of every size, types included;
+the tier-1 suite runs this script in a ``-S`` child
+(``tests/test_caches.py``).
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from chordgroups.core import (
 def gap_converters() -> None:
     # chord_to_composition and chord_to_partition answer from chord-table
     # slots filled on first use; on every chord of sizes 1-12 they must
-    # equal the gaps taken from tone differences (sorted for the
-    # partition), cold and again after the tables are dropped, and
-    # anything that is not a chord must raise InvalidChordError
+    # be tuples of ints equal to the gaps taken from tone differences
+    # (sorted for the partition), cold and again after the tables are
+    # dropped, and anything that is not a chord must raise InvalidChordError
     chords = [(0, *rest) for k in range(1, 13) for rest in combinations(range(1, 12), k - 1)]
     # the cold pass fills each partition slot first, the second each composition slot
     for when, partition_first in (("cold", True), ("after CHORD_TABLES.clear()", False)):
@@ -39,8 +44,11 @@ def gap_converters() -> None:
             gaps = tuple(b - a for a, b in zip(chord, (*chord[1:], 12)))
             calls = [(chord_to_partition, tuple(sorted(gaps))), (chord_to_composition, gaps)]
             for convert, expected in calls if partition_first else calls[::-1]:
-                if convert(chord) != expected:
-                    sys.exit(f"{when}: {convert.__name__}({chord}) is {convert(chord)}")
+                answer = convert(chord)
+                # (4.0, 3, 5) equals (4, 3, 5), so the types are checked too
+                exact = type(answer) is tuple and all(type(g) is int for g in answer)
+                if answer != expected or not exact:
+                    sys.exit(f"{when}: {convert.__name__}({chord}) is {answer!r}")
         core.CHORD_TABLES.clear()
     for convert, value in ((chord_to_composition, (0, 13)), (chord_to_partition, [0, 4, 7])):
         try:
@@ -55,7 +63,8 @@ def partition_fibers() -> None:
     # all 77 partitions of sizes 1-12 it must equal the chords whose sorted
     # tone differences are the partition, cold, after the fiber memo is
     # dropped and after the chord tables are dropped, and a caller's
-    # change to a returned list must reach no later call
+    # change to a returned list, from a memo miss or a hit, must reach no
+    # later call
     fibers = {}
     for k in range(1, 13):
         for rest in combinations(range(1, 12), k - 1):
@@ -72,11 +81,13 @@ def partition_fibers() -> None:
         for partition, expected in fibers.items():
             if chords_of_partition(partition) != expected:
                 sys.exit(f"{when}: chords_of_partition({partition}) is wrong")
-    answer = chords_of_partition((3, 4, 5))
-    answer.reverse()
-    answer.pop()
-    if chords_of_partition((3, 4, 5)) != fibers[3, 4, 5]:
-        sys.exit("a changed answer reached a later call")
+    core._FIBERS.clear()
+    for when in ("cold", "warm"):  # the first call misses the fiber memo, the second hits it
+        answer = chords_of_partition((3, 4, 5))
+        answer.reverse()
+        answer.pop()
+        if chords_of_partition((3, 4, 5)) != fibers[3, 4, 5]:
+            sys.exit(f"{when}: a changed answer reached a later call")
 
 
 def graph_answers() -> None:

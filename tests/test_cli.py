@@ -112,9 +112,8 @@ class TestPartition:
 
 class TestEnumerate:
     def test_harmonic_tetrads_golden(self, invoke):
-        code, out, _ = invoke("enumerate", "--tones", "4", "--harmonic")
-        assert code == 0
-        assert out == GOLDEN_HARMONIC_TETRADS
+        code, out, err = invoke("enumerate", "--tones", "4", "--harmonic")
+        assert (code, out, err) == (0, GOLDEN_HARMONIC_TETRADS, "")
         assert len(out.splitlines()) == 25
 
     def test_harmonic_triads_golden(self, invoke):
