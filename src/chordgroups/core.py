@@ -34,10 +34,10 @@ call.  Identity does not survive a drop: after ``CHORD_TABLES`` is
 dropped, the label tables' keys are ``make_chord``'s own tuples again only
 in a fresh process, and a fiber's members only once ``_FIBERS`` is
 dropped too.
-``classify._LABELS``, ``graph._PARTNER``, the graph's node and edge Records
-in ``graph._NODES`` and ``graph._EDGES`` and its two graphs in
-``graph._GRAPHS`` are built at import, never written afterwards (but for
-the graphs' memos) and shared by every call that returns them.
+``classify._LABELS``, ``graph._PARTNER`` and the two graphs in
+``graph._GRAPHS``, with their node and edge Records, are built at import,
+never written afterwards (but for the graphs' memos) and shared by every
+call that returns them.
 """
 
 from __future__ import annotations

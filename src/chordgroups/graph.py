@@ -16,11 +16,10 @@ the twelve-tone domain, so both variants are built once, at import: one
 walk over the labeled tetrads in id order maps each operator over their
 chords.  An operator is a function on the nodes, so a node is the source of
 at most one edge per operator: the walk emits each operator's edges already
-sorted by source, then target, and needs no sort.  ``_NODES`` and
-``_EDGES`` hold the ``GraphNode`` and ``GraphEdge`` Records per
-``include_dd``, the variant without dd less dd's node and three self-loops,
-and ``_GRAPHS`` the two ``ChordGraph`` values, immutable and shared, as
-``classify`` shares its labels: ``build_chord_graph`` constructs nothing.
+sorted by source, then target, and needs no sort.  ``_GRAPHS`` holds the
+two ``ChordGraph`` values per ``include_dd``, the variant without dd less
+dd's node and three self-loops, immutable and shared, as ``classify``
+shares its labels: ``build_chord_graph`` constructs nothing.
 Each graph derives its four read-only answers (components, isomorphism,
 DOT and JSON text) once each: the first call stores one in the
 graph's ``_memo`` and later calls answer from there, with new lists and
@@ -147,8 +146,8 @@ _FAMILY_ORDER = {family: index for index, family in enumerate(ROOT_CHORDS)}
 _OP_ORDER = {op: index for index, op in enumerate(Operator)}
 
 
-def _graph_parts() -> tuple[dict[bool, tuple], dict[bool, tuple]]:
-    """The graph's node and edge Records, per ``include_dd``."""
+def _graph_parts() -> dict[bool, ChordGraph]:
+    """The two graphs, per ``include_dd``."""
     nodes = tuple([GraphNode(chord, label) for chord, label in seventh_table().items()])
     # An involution edge is stored from the endpoint whose key sorts first:
     # case-insensitive first so output order is stable across families like
@@ -166,17 +165,16 @@ def _graph_parts() -> tuple[dict[bool, tuple], dict[bool, tuple]]:
         for key, image in zip(keys, map(endpoint.__getitem__, map(image_of, chords))):
             if op is Operator.INVERSION or key <= image:
                 edges.append(GraphEdge(key[1], image[1], op))
-    without_dd = tuple([node for node in nodes if node.label.family is not SeventhFamily.dd])
+    without_dd = [node for node in nodes if node.label.family is not SeventhFamily.dd]
     # dd is fixed by all three operators, so its only edges are its three self-loops
     ids = {node.id for node in without_dd}
-    return (
-        {True: nodes, False: without_dd},
-        {True: tuple(edges), False: tuple([edge for edge in edges if edge.source in ids])},
-    )
+    return {
+        False: ChordGraph(without_dd, [edge for edge in edges if edge.source in ids]),
+        True: ChordGraph(nodes, edges),
+    }
 
 
-_NODES, _EDGES = _graph_parts()
-_GRAPHS = {dd: ChordGraph(_NODES[dd], _EDGES[dd]) for dd in (False, True)}
+_GRAPHS = _graph_parts()
 
 
 def build_chord_graph(include_dd: bool = False) -> ChordGraph:

@@ -274,8 +274,8 @@ TestChordTableCaches.settings = settings(max_examples=40, stateful_step_count=20
 
 
 def test_the_stdlib_checks_pass_without_site():
-    # the checks CI runs on every supported Python with nothing installed, and
-    # the one exhaustive check of the converters and fibers
+    # without site (-S), so the checks see the standard library alone, and the
+    # one exhaustive check of the converters and fibers
     script = Path(__file__).with_name("stdlib_checks.py")
     assert run_python("-S", "-X", "dev", "-W", "error", str(script)).stdout == (
         "The gap converters equal the tone differences on every chord: PASS\n"

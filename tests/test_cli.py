@@ -159,6 +159,8 @@ class TestGraph:
         code, out, _ = invoke("graph", "--format", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "json":  # decoded and encoded again, the same text
+            assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
     def test_json_node_count(self, invoke):
         code, out, _ = invoke("graph", "--format", "json")
@@ -224,6 +226,34 @@ class TestVerify:
         monkeypatch.setattr(verify, "CHECKS", checks)
         out = "wrong: planted detail FAIL\ncrash: RuntimeError: planted FAIL\n"
         assert invoke("verify") == (1, out, "")
+
+
+# verify, the graph exports, orbit and enumerate walk sets and dicts of
+# strings, and orbit collects a set of chords from the chord table
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify",
+        "graph --format dot",
+        "graph --format json",
+        "graph --format dot --include-dd",
+        "graph --format json --include-dd",
+        "orbit i,d,a 0,1,3,7",
+        "enumerate --tones 4 --harmonic",
+        "apply iddaid 0,1,3,7",
+        "orbit i,d 0,1,2,5,8,9",
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv, monkeypatch):
+    # one child per seed, without site, in development mode with warnings as errors
+    outputs = []
+    for seed in "1", "2":
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        child = run_python("-S", "-X", "dev", "-W", "error", "-m", "chordgroups", *argv.split())
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    if argv == "verify":
+        assert outputs[0] == GOLDEN_VERIFY
 
 
 class TestUsage:

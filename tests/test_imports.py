@@ -38,7 +38,8 @@ ARGPARSE_MODULES = ("argparse", "gettext", "locale")
 )
 def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     # The child runs without site (-S), whose start-up can import typing
-    # itself, so that what is loaded is what the command loaded; no command
+    # itself, so that what is loaded is what the command loaded, and in
+    # development mode with warnings as errors (-X dev -W error); no command
     # loads typing, a plain command line loads no argparse, and only the JSON
     # export loads json.
     watched = (*watched, "typing", *ARGPARSE_MODULES)
@@ -55,7 +56,8 @@ def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
         "print(out.getvalue().splitlines()[0])\n"
         f"print(sorted(set({watched!r}) & set(sys.modules)))\n"
     )
-    assert run_python("-S", "-c", code).stdout == f"{first_line}\n{sorted(loaded)}\n"
+    child = run_python("-S", "-X", "dev", "-W", "error", "-c", code)
+    assert child.stdout == f"{first_line}\n{sorted(loaded)}\n"
 
 
 def test_graph_names_load_on_first_use_without_json():
