@@ -31,7 +31,7 @@ _EXPORTS = {
          "WrongArityError chord_to_composition chord_to_partition chords_of_partition "
          "enumerate_chords enumerate_partitions format_chord format_parts make_chord "
          "make_composition make_partition normalize_chord parse_chord"),
-        ("transform", "Operator apply_word augdim dual invert orbit parse_word"),
+        ("transform", "Operator apply_word augdim dual invert orbit"),
         ("classify", "ChordLabel SeventhFamily TriadFamily classify dual_pairing family_row "
          "is_harmonic_seventh is_harmonic_triad seventh_table triad_table"),
         ("graph", "ChordGraph GraphEdge GraphNode IsomorphismViolationError "

@@ -9,10 +9,11 @@ chords across 7 families.
 
 ``ROOT_CHORDS`` holds the 11 family roots, and its order is the one
 statement of family order; everything else is derived.  ``family_row`` is
-the one inversion walk, and one label table per chord size maps each chord
-of every row to its family and position, so reproducing the published
-tables is a meaningful check rather than a tautology.  ``classify``
-validates a chord through ``core.chord_row`` and looks it up in its size's table.
+``transform._walk`` from a root under ``i`` alone, and one label table per
+chord size maps each chord of every row to its family and position, so
+reproducing the published tables is a meaningful check rather than a
+tautology.  ``classify`` validates a chord through ``core.chord_row`` and
+looks it up in its size's table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     chord_row,
     chord_to_partition,
 )
-from .transform import dual, invert
+from .transform import _walk, dual
 
 
 class TriadFamily(Enum):
@@ -127,10 +128,7 @@ def family_row(family: Family) -> tuple[Chord, ...]:
         root = ROOT_CHORDS[family]
     except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValueError(f"not a family: {family!r}") from None
-    row = [chord_row(root)[0]]
-    while (image := invert(row[-1])) != row[0]:
-        row.append(image)
-    return tuple(row)
+    return tuple(_walk(chord_row(root), (1,)))
 
 
 # chord size -> chord -> label, over the size's family rows in ROOT_CHORDS order

@@ -90,11 +90,6 @@ class GraphEdge(Record):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "op", op)
 
-    @property
-    def directed(self) -> bool:
-        """Only inversion edges have a direction; d and a are involutions."""
-        return self.op is Operator.INVERSION
-
 
 class ChordGraph(Record):
     """Nodes and edges, kept as tuples whatever iterables they come in, indexed by node id.

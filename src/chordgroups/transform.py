@@ -19,8 +19,9 @@ slot is filled on first use, from
 whose first item is the table's own tuple for it.
 ``invert``, ``dual`` and ``augdim`` are one lookup and one slot read.
 ``apply_word`` walks the slots letter by letter, left to right (pipeline
-order, the convention used throughout the CLI), and ``orbit`` is a
-breadth-first closure over the slots of its generators.
+order, the convention used throughout the CLI).  ``_walk`` is the one
+breadth-first closure over a set of slots: ``orbit`` sorts its chords, and
+``classify.family_row`` keeps them in visit order under ``i`` alone.
 
 ``orbit`` walks each orbit once.  The sorted members go into ``_ORBITS``
 under the key ``(frozenset of generator slots, chord)`` of every member,
@@ -36,7 +37,7 @@ walk that raises stores nothing, so every error is as without the memo.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cache
 
@@ -136,20 +137,6 @@ def augdim(chord: Chord) -> Chord:
     return (row[3] or _fill(row, 3))[0]
 
 
-def _word_slots(text: str) -> list[int]:
-    try:
-        if isinstance(text, str):  # a list of letters is not a word
-            return [_LETTER_SLOT[letter] for letter in text]
-    except KeyError:
-        pass
-    raise ValueError(f"operator word may only contain i, d, a: {text!r}")
-
-
-def parse_word(text: str) -> Word:
-    """Parse an operator word like ``"iid"`` (case-insensitive; empty = identity)."""
-    return tuple([_OPERATORS[slot] for slot in _word_slots(text)])
-
-
 def parse_generators(text: str) -> Word:
     """Parse a comma list of generators like ``"i,d,a"``, deduplicated."""
     try:
@@ -168,13 +155,28 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     (0, 4, 7, 10)
     """
     try:
-        slots = _word_slots(word) if isinstance(word, str) else map(_slot, word)
+        slots = [_LETTER_SLOT[c] for c in word] if isinstance(word, str) else map(_slot, word)
+    except KeyError:
+        raise ValueError(f"operator word may only contain i, d, a: {word!r}") from None
     except TypeError:  # not iterable
         raise ValueError(f"not an operator word: {word!r}") from None
     row = start = chord_row(chord)
     for slot in slots:
         row = row[slot] or _fill(row, slot)
     return chord if row is start else row[0]  # a word that fixes the chord returns it
+
+
+def _walk(row: list, slots: Sequence[int]) -> list[Chord]:
+    """The chords reached from ``row`` under ``slots``, breadth first, ``row``'s chord first."""
+    seen = {row[0]}
+    rows = [row]
+    for row in rows:  # the loop reaches rows appended while it runs
+        for slot in slots:
+            image = row[slot] or _fill(row, slot)
+            if image[0] not in seen:
+                seen.add(image[0])
+                rows.append(image)
+    return [row[0] for row in rows]
 
 
 # (frozenset of generator slots, chord) -> the chord's sorted orbit, one
@@ -199,15 +201,7 @@ def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     slot_set = frozenset(slots)
     found = _ORBITS.get((slot_set, row[0]))
     if found is None:
-        members = {row[0]}
-        queue = [row]
-        for row in queue:  # breadth first: the loop reaches rows appended while it runs
-            for slot in slots:
-                image = row[slot] or _fill(row, slot)
-                if image[0] not in members:
-                    members.add(image[0])
-                    queue.append(image)
-        found = tuple(sorted(members))
+        found = tuple(sorted(_walk(row, slots)))
         for member in found:  # stored only once the walk is complete
             _ORBITS[slot_set, member] = found
     return list(found)

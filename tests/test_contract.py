@@ -83,7 +83,6 @@ VALID_ARGUMENTS = {
     "normalize_chord": ([7, 11, 2],),
     "orbit": (TETRAD, [Operator.INVERSION]),
     "parse_chord": ("0,4,7",),
-    "parse_word": ("ida",),
     "seventh_table": (),
     "triad_table": (),
 }

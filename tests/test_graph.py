@@ -63,10 +63,8 @@ class TestBuild:
         for edge in graph.edges:
             source, target = by_id[edge.source], by_id[edge.target]
             if edge.op is Operator.INVERSION:
-                assert edge.directed
                 assert invert(source.chord) == target.chord
             else:
-                assert not edge.directed
                 fn = dual if edge.op is Operator.DUALITY else augdim
                 assert fn(source.chord) == target.chord
                 assert fn(target.chord) == source.chord

@@ -89,7 +89,7 @@ def test_graph_first_keeps_classify_a_function_and_star_binds_all():
     report = json.loads(run_python("-c", code).stdout)
     assert report["classify_is_function"]
     assert report["star"] == sorted(report["all"])
-    assert len(report["all"]) == len(set(report["all"])) == 48
+    assert len(report["all"]) == len(set(report["all"])) == 47
 
 
 def test_dir_lists_every_public_name():

@@ -30,7 +30,6 @@ from chordgroups.transform import (
     invert,
     orbit,
     parse_generators,
-    parse_word,
 )
 
 from conftest import TONE_FORMULAS as ORACLES, gaps
@@ -253,16 +252,6 @@ class TestWords:
     def test_operator_sequences_accepted(self):
         assert apply_word([I, I], (0, 4, 7)) == invert(invert((0, 4, 7)))
 
-    def test_parse_word_rejects_unknown_letters(self):
-        with pytest.raises(ValueError):
-            parse_word("ixd")
-
-    @pytest.mark.parametrize("letters", [["i", "D"], ("i",)], ids=repr)
-    def test_parse_word_rejects_a_sequence_of_letters(self, letters):
-        # a word is text; apply_word already rejects these lists' items as operators
-        with pytest.raises(ValueError, match="operator word may only contain i, d, a"):
-            parse_word(letters)
-
     def test_parse_generators(self):
         assert parse_generators("i,d") == (I, D)
         assert parse_generators(" A , i ") == (A, I)
@@ -453,7 +442,6 @@ WRONG_KIND_CALLS = {
     "make_composition": (make_composition, ValueError),
     "make_partition": (make_partition, ValueError),
     "apply_word": (lambda bad: apply_word(bad, (0, 4, 7)), ValueError),
-    "parse_word": (parse_word, ValueError),
     "orbit": (lambda bad: orbit((0, 4, 7), bad), ValueError),
     "parse_generators": (parse_generators, ValueError),
 }
