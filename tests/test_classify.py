@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from chordgroups.classify import (
+    ROOT_CHORDS,
     ChordLabel,
     SeventhFamily,
     TriadFamily,
@@ -25,7 +26,7 @@ from chordgroups.core import (
     enumerate_chords,
     make_chord,
 )
-from chordgroups.transform import dual
+from chordgroups.transform import dual, invert
 from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
 
 from conftest import gaps
@@ -218,6 +219,16 @@ class TestClassify:
     def test_a_list_of_the_wrong_size_is_still_an_arity_error(self):
         with pytest.raises(WrongArityError):
             classify([0, 4])
+
+
+@pytest.mark.parametrize("family", ROOT_CHORDS, ids=str)
+def test_a_family_row_is_its_roots_inversion_cycle_in_order(family):
+    row = family_row(family)
+    assert row[0] == ROOT_CHORDS[family]
+    assert [invert(chord) for chord in row] == [*row[1:], row[0]]
+    assert len(set(row)) == len(row)
+    for chord in row:
+        assert chord is make_chord(chord)
 
 
 @pytest.mark.parametrize("function", [family_row, dual_pairing])

@@ -12,6 +12,7 @@ from chordgroups import transform
 from chordgroups.core import (
     InvalidChordError,
     WrongArityError,
+    chord_row,
     chord_to_partition,
     enumerate_chords,
     make_chord,
@@ -60,6 +61,17 @@ def _closure_by_tones(chord, generators):
                 seen.add(image)
                 frontier.append(image)
     return sorted(seen)
+
+
+def _walk_by_tones(chord, generators):
+    # breadth first, each chord's images in generator order
+    reached = [chord]
+    for current in reached:
+        for op in generators:
+            image = ORACLES[op](current)
+            if image not in reached:
+                reached.append(image)
+    return reached
 
 
 class TestInversion:
@@ -389,6 +401,24 @@ class TestOrbits:
             members = orbit(chord, generators)
             for member in members:
                 assert orbit(member, generators[::-1]) == members
+
+
+class TestWalk:
+    # _walk is the one closure behind orbit and classify.family_row; orbit
+    # sorts its result, so only these tests see the visit order.
+
+    @pytest.mark.parametrize("generators", [[I], [D], [I, D], [D, I], [I, A], [A, D, I]])
+    def test_visits_breadth_first_from_the_rows_chord(self, generators):
+        chords = enumerate_chords(4) if A in generators else CHORDS
+        slots = [transform._slot(op) for op in generators]
+        for chord in chords:
+            assert transform._walk(chord_row(chord), slots) == _walk_by_tones(chord, generators)
+
+    def test_returns_the_chord_tables_own_tuples(self):
+        for chord in CHORDS:
+            slots = [transform._slot(op) for op in _operators_on(chord)]
+            for member in transform._walk(chord_row(chord), slots):
+                assert member is make_chord(member)
 
 
 def test_threads_sharing_the_orbit_memo_get_the_single_threaded_orbits():
