@@ -16,11 +16,19 @@ Because that attribute is the function, ``import chordgroups.classify as m``
 binds the function, not the submodule: ``import a.b as m`` reads the
 package attribute ``b``.  ``from chordgroups.classify import ...`` and
 ``sys.modules["chordgroups.classify"]`` reach the submodule.
+
+Each eager export is read off the module object that ``from . import``
+bound, taken before the name ``classify`` is rebound to the function; only
+the lazy graph names go through ``import_module``.  No module uses
+``from __future__ import annotations``: on 3.10 and later every annotation
+evaluates at import, and leaving out that import spares each process
+loading ``__future__``.  A forward reference is therefore written as a
+string.
 """
 
 from importlib import import_module
 
-from . import classify, core, transform  # noqa: F401  (loaded eagerly; see above)
+from . import classify, core, transform  # loaded eagerly; see above
 
 # Every public name, keyed to the submodule that defines it.
 _EXPORTS = {
@@ -42,10 +50,13 @@ _EXPORTS = {
 }
 __all__ = sorted(_EXPORTS)
 
+# The loop rebinds ``classify`` to the function, so the modules are read
+# from this dict, taken before it.
+_LOADED = {"core": core, "transform": transform, "classify": classify}
 for _name, _module in _EXPORTS.items():
-    if _module != "graph":
-        globals()[_name] = getattr(import_module(f".{_module}", __name__), _name)
-del _name, _module
+    if _module in _LOADED:
+        globals()[_name] = getattr(_LOADED[_module], _name)
+del _LOADED, _name, _module
 
 
 def __getattr__(name: str):

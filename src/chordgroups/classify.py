@@ -16,8 +16,6 @@ tautology.  ``classify`` validates a chord through ``core.chord_row`` and
 looks it up in its size's table.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 from .core import (

@@ -2,7 +2,10 @@
 
 Plain-text, deterministic output on stdout; diagnostics on stderr.  Exit
 status: 0 success, 1 failed verification, 2 usage or parse error, 3 when
-an operator meets a chord of the wrong size.
+an operator meets a chord of the wrong size, and 141 (128 + SIGPIPE, what
+a shell reports for a process that SIGPIPE ends) when stdout is closed
+before the output is written, as in ``chordgroups verify | true``; that
+ends quietly, with nothing on stderr.
 
 ``graph`` and ``verify`` are imported by their own commands only, so the
 one-shot commands (classify, apply, orbit, partition, enumerate) load no
@@ -17,8 +20,6 @@ no ``argparse``.  Every other argv loads ``argparse`` and goes to
 ``--opt=value``, a repeated option and ``--``.  So argparse prints every
 help and usage text, and a handler gets the same attributes either way.
 """
-
-from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ARITY = 3
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, without loading signal
 
 
 def _cmd_apply(args: SimpleNamespace) -> int:
@@ -215,7 +217,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read(argv) or build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        import os
+
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # what is left in its buffer cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except WrongArityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITY

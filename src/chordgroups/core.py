@@ -40,8 +40,6 @@ never written afterwards (but for the graphs' memos) and shared by every
 call that returns them.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations
 from operator import sub
@@ -151,7 +149,7 @@ class _ChordTables(dict):
     def __missing__(self, k: int) -> dict[Chord, list]:
         if not 1 <= k <= OCTAVE:
             return {}
-        chords = [(0, *rest) for rest in combinations(range(1, OCTAVE), k - 1)]
+        chords = map((0,).__add__, combinations(range(1, OCTAVE), k - 1))
         table = {chord: [chord, None, None, None, None, None] for chord in chords}
         return self.setdefault(k, table)  # two threads building k keep one table
 

@@ -29,8 +29,6 @@ It serves callers that ask a graph again, as graph-session does: 13.9k to
 232.5k sessions/s with the memo (``BENCH_23.json``).
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterable
 from types import MappingProxyType
 

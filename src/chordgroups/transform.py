@@ -35,8 +35,6 @@ chord is validated and the generators parsed before the lookup, and a
 walk that raises stores nothing, so every error is as without the memo.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cache

@@ -31,8 +31,6 @@ from orderings of the parts, reading no slot, so ``partition-fibers``
 checks the partition slots against chords built independently of them.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Callable
 from math import comb

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,13 @@ from hypothesis import strategies as st
 from chordgroups import verify
 from chordgroups.cli import GRAMMAR, _read, build_parser, main
 
-from conftest import EXPORT_SHA256, GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, run_python
+from conftest import (
+    EXPORT_SHA256,
+    GOLDEN_HARMONIC_TETRADS,
+    GOLDEN_HARMONIC_TRIADS,
+    SRC,
+    run_python,
+)
 
 
 class TestApply:
@@ -397,3 +405,50 @@ def test_the_reader_leaves_the_rest_to_argparse(capsys, argv, expected):
         return
     args = vars(build_parser().parse_args(argv))
     assert args == {"command": argv[0], "handler": GRAMMAR[argv[0]][1], **expected}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["verify"], ["enumerate", "--tones", "6"]], ids=shlex.join)
+def test_a_closed_stdout_ends_quietly_with_128_plus_sigpipe(argv, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, whether print writes through (PYTHONUNBUFFERED) or main's
+    # flush does.  141 is what a shell reports for ``seq`` in ``seq | true``.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "chordgroups", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")
+
+
+def test_a_broken_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
+    # In process: main's flush fails as on a closed pipe, and main then points
+    # the stream's descriptor at devnull, so the final flush writes there.
+    class ClosedPipe(io.StringIO):
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(handle.fileno()))
+        code = main(["classify", "0,4,7"])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+    assert code == 141

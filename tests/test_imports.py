@@ -40,9 +40,9 @@ def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     # The child runs without site (-S), whose start-up can import typing
     # itself, so that what is loaded is what the command loaded, and in
     # development mode with warnings as errors (-X dev -W error); no command
-    # loads typing, a plain command line loads no argparse, and only the JSON
-    # export loads json.
-    watched = (*watched, "typing", *ARGPARSE_MODULES)
+    # loads typing or __future__ (no module defers its annotations), a plain
+    # command line loads no argparse, and only the JSON export loads json.
+    watched = (*watched, "typing", "__future__", *ARGPARSE_MODULES)
     # runpy.run_module is what ``python -m chordgroups`` runs.
     code = (
         "import contextlib, io, runpy, sys\n"
@@ -90,6 +90,19 @@ def test_graph_first_keeps_classify_a_function_and_star_binds_all():
     assert report["classify_is_function"]
     assert report["star"] == sorted(report["all"])
     assert len(report["all"]) == len(set(report["all"])) == 47
+
+
+def test_each_eager_export_is_its_submodules_own_object():
+    import sys
+
+    import chordgroups
+
+    eager = {name: module for name, module in chordgroups._EXPORTS.items() if module != "graph"}
+    assert len(eager) == 38
+    for name, module in eager.items():
+        # read from the package's namespace, not through its __getattr__
+        assert vars(chordgroups)[name] is getattr(sys.modules[f"chordgroups.{module}"], name), name
+    assert chordgroups.classify is sys.modules["chordgroups.classify"].classify
 
 
 def test_dir_lists_every_public_name():
