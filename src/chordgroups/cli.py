@@ -5,7 +5,10 @@ status: 0 success, 1 failed verification, 2 usage or parse error, 3 when
 an operator meets a chord of the wrong size, and 141 (128 + SIGPIPE, what
 a shell reports for a process that SIGPIPE ends) when stdout is closed
 before the output is written, as in ``chordgroups verify | true``; that
-ends quietly, with nothing on stderr.
+ends quietly, with nothing on stderr.  argparse's help (``-h``) on a
+closed stdout ends the same way, except under ``PYTHONUNBUFFERED`` on
+Python 3.11 and later, where argparse drops its own failed write and
+exits 0.
 
 ``graph`` and ``verify`` are imported by their own commands only, so the
 one-shot commands (classify, apply, orbit, partition, enumerate) load no
@@ -215,8 +218,12 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read(argv) or build_parser().parse_args(argv)
     try:
+        try:
+            args = _read(argv) or build_parser().parse_args(argv)
+        except SystemExit:  # after argparse's help or usage text
+            sys.stdout.flush()  # so a closed stdout raises here too
+            raise
         status = args.handler(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return status

@@ -408,11 +408,15 @@ def test_the_reader_leaves_the_rest_to_argparse(capsys, argv, expected):
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["verify"], ["enumerate", "--tones", "6"]], ids=shlex.join)
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["enumerate", "--tones", "6"], ["-h"], ["classify", "-h"]], ids=shlex.join
+)
 def test_a_closed_stdout_ends_quietly_with_128_plus_sigpipe(argv, unbuffered):
     # The read end is closed before the child starts, so its first write to
     # stdout fails, whether print writes through (PYTHONUNBUFFERED) or main's
     # flush does.  141 is what a shell reports for ``seq`` in ``seq | true``.
+    # Unbuffered, argparse's help swallows its own failed write from 3.11 on
+    # and exits 0; on 3.10 the write's BrokenPipeError reaches main.
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -429,7 +433,8 @@ def test_a_closed_stdout_ends_quietly_with_128_plus_sigpipe(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    assert (child.returncode, child.stderr) == (141, b"")
+    swallowed = unbuffered and "-h" in argv and sys.version_info >= (3, 11)
+    assert (child.returncode, child.stderr) == (0 if swallowed else 141, b"")
 
 
 def test_a_broken_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
