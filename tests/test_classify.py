@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +19,22 @@ from chordgroups.classify import (
     seventh_table,
     triad_table,
 )
-from chordgroups.core import InvalidChordError, WrongArityError, make_chord
+from chordgroups.core import (
+    InvalidChordError,
+    WrongArityError,
+    chord_to_partition,
+    enumerate_chords,
+    make_chord,
+)
 from chordgroups.transform import dual, invert
 from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
+
+from conftest import gaps
+
+
+def _brute_force_harmonic_triads():
+    triads = [(0, *rest) for rest in combinations(range(1, 12), 2)]
+    return [c for c in triads if min(gaps(c)) >= 3]
 
 
 class TestTriadPredicate:
@@ -28,6 +43,11 @@ class TestTriadPredicate:
 
     def test_suspended_chord_is_not(self):
         assert not is_harmonic_triad((0, 2, 7))
+
+    def test_exactly_ten_harmonic_triads(self):
+        brute = _brute_force_harmonic_triads()
+        assert len(brute) == 10
+        assert [c for c in enumerate_chords(3) if is_harmonic_triad(c)] == brute
 
     @pytest.mark.parametrize("chord", [(0, 2), (0, 4, 7, 11)])
     def test_rejects_other_sizes(self, chord):
@@ -45,6 +65,17 @@ class TestSeventhPredicate:
     def test_wide_gap_disqualifies(self):
         # one step-sized gap but a fourth-wide gap: (0,3,6,11) -> gaps 3,3,5,1
         assert not is_harmonic_seventh((0, 3, 6, 11))
+
+    def test_exactly_25_harmonic_tetrads(self):
+        tetrads = [(0, *rest) for rest in combinations(range(1, 12), 3)]
+        assert len(tetrads) == 165
+        harmonic = [c for c in tetrads if is_harmonic_seventh(c)]
+        assert len(harmonic) == 25
+        assert Counter(tuple(sorted(gaps(c))) for c in harmonic) == {
+            (1, 3, 4, 4): 12,
+            (2, 3, 3, 4): 12,
+            (3, 3, 3, 3): 1,
+        }
 
     def test_rejects_other_sizes(self):
         with pytest.raises(WrongArityError):
@@ -107,6 +138,32 @@ class TestSeventhTable:
     )
     def test_spot_labels(self, chord, family, inversion):
         assert seventh_table()[chord] == ChordLabel(family, inversion)
+
+    def test_families_group_by_partition(self):
+        table = seventh_table()
+        by_family = {}
+        for chord, label in table.items():
+            by_family.setdefault(label.family, set()).add(chord_to_partition(chord))
+        expected_classes = {
+            SeventhFamily.MM: (1, 3, 4, 4),
+            SeventhFamily.mM: (1, 3, 4, 4),
+            SeventhFamily.AM: (1, 3, 4, 4),
+            SeventhFamily.Mm: (2, 3, 3, 4),
+            SeventhFamily.dm: (2, 3, 3, 4),
+            SeventhFamily.mm: (2, 3, 3, 4),
+            SeventhFamily.dd: (3, 3, 3, 3),
+        }
+        assert by_family == {f: {p} for f, p in expected_classes.items()}
+
+    def test_triad_families_group_by_partition(self):
+        expected = {
+            TriadFamily.MAJOR: (3, 4, 5),
+            TriadFamily.MINOR: (3, 4, 5),
+            TriadFamily.DIMINISHED: (3, 3, 6),
+            TriadFamily.AUGMENTED: (4, 4, 4),
+        }
+        for family, partition in expected.items():
+            assert {chord_to_partition(c) for c in family_row(family)} == {partition}
 
     def test_tables_list_the_reference_rows_in_order(self):
         assert list(triad_table()) == [c for row in TRIAD_ROWS.values() for c in row]

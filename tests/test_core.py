@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial
 
 import pytest
+from conftest import gaps
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -34,6 +38,11 @@ from chordgroups.core import (
 chord_strategy = st.sets(st.integers(min_value=1, max_value=11), max_size=11).map(
     lambda rest: (0, *sorted(rest))
 )
+
+# Every chord of each size 1..12, enumerated without the library.
+ALL_CHORDS = {
+    k: [(0, *rest) for rest in combinations(range(1, 12), k - 1)] for k in range(1, 13)
+}
 
 
 class TestMakeChord:
@@ -175,6 +184,25 @@ class TestGapMaps:
     def test_composition_to_chord(self, comp, chord):
         assert composition_to_chord(comp) == chord
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_converters_match_the_library_free_gaps_on_every_chord(self, k):
+        assert len(ALL_CHORDS[k]) == comb(11, k - 1)  # 2048 chords over the twelve sizes
+        for chord in ALL_CHORDS[k]:
+            comp = chord_to_composition(chord)
+            part = chord_to_partition(chord)
+            assert comp == tuple(gaps(chord)), chord
+            assert part == tuple(sorted(gaps(chord))), chord
+            for value in (comp, part):
+                assert type(value) is tuple and all(type(g) is int for g in value), chord
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_round_trip_and_sum_law(self, k):
+        for chord in enumerate_chords(k):
+            gaps = chord_to_composition(chord)
+            assert sum(gaps) == 12
+            assert len(gaps) == k
+            assert composition_to_chord(gaps) == chord
+
 
 class TestValidators:
     def test_make_composition_keeps_order(self):
@@ -201,6 +229,10 @@ class TestEnumeration:
 
     def test_single_tone(self):
         assert enumerate_chords(1) == [(0,)]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_counts_match_binomials(self, k):
+        assert len(enumerate_chords(k)) == comb(11, k - 1)
 
     def test_lexicographic_order(self):
         chords = enumerate_chords(3)
@@ -244,12 +276,49 @@ class TestChordsOfPartition:
     def test_fully_even_partition_has_one_chord(self):
         assert chords_of_partition((3, 3, 3, 3)) == [(0, 3, 6, 9)]
 
+    def test_triad_partition_fiber_matches_brute_force(self):
+        # oracle: permute the parts directly, take prefix sums, dedupe
+        expected = sorted(
+            {
+                tuple(sum(perm[:i]) for i in range(3))
+                for perm in permutations((3, 4, 5))
+            }
+        )
+        fiber = chords_of_partition((3, 4, 5))
+        assert fiber == expected
+        assert (0, 4, 7) in fiber and (0, 3, 8) in fiber
+        assert len(fiber) == 6
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_fibers_match_brute_force(self, k):
+        # oracle: every ordering of the parts, as prefix sums, deduplicated
+        for partition in enumerate_partitions(k):
+            expected = sorted(
+                {tuple(accumulate(perm[:-1], initial=0)) for perm in permutations(partition)}
+            )
+            assert chords_of_partition(partition) == expected
+
     # each returned chords before the parts were validated as make_partition does
     @pytest.mark.parametrize("parts", [(5, 5), (), (0, 12), (4, 4, 4.0), (True, 11)], ids=repr)
     def test_a_value_that_is_not_a_partition_is_rejected(self, parts):
         with pytest.raises(ValueError) as excinfo:
             chords_of_partition(parts)
         assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_fibers_tile_all_chords_exactly_once(self, k):
+        covered = []
+        for partition in enumerate_partitions(k):
+            fiber = chords_of_partition(partition)
+            assert all(a < b for a, b in zip(fiber, fiber[1:]))
+            multinomial = factorial(k)
+            for count in Counter(partition).values():
+                multinomial //= factorial(count)
+            assert len(fiber) == multinomial
+            for chord in fiber:
+                assert chord_to_partition(chord) == partition
+            covered.extend(fiber)
+        assert sorted(covered) == [(0, *rest) for rest in combinations(range(1, 12), k - 1)]
 
     ALL_PARTITIONS = [p for k in range(1, 13) for p in enumerate_partitions(k)]
 
@@ -259,6 +328,16 @@ class TestChordsOfPartition:
         memo: dict = {}
         monkeypatch.setattr(core, "_FIBERS", memo)
         return memo
+
+    def test_a_changed_answer_changes_no_later_answer(self, fibers):
+        first = chords_of_partition((3, 4, 5))
+        expected = list(first)
+        first.reverse()
+        first.append((0, 1, 2))
+        second = chords_of_partition((3, 4, 5))
+        assert second == expected
+        second.clear()
+        assert chords_of_partition((3, 4, 5)) == expected
 
     def test_members_are_the_chord_tables_own_tuples(self, fibers):
         for _ in ("cold", "warm"):

@@ -445,6 +445,11 @@ def _json_dumps_export(graph):
 
 
 class TestJsonExportIsJsonDumps:
+    @pytest.mark.parametrize("include_dd", [False, True])
+    def test_built_graphs(self, include_dd):
+        graph = build_chord_graph(include_dd=include_dd)
+        assert export_json(graph) == _json_dumps_export(graph)
+
     def test_nodes_without_edges(self, graph):
         bare = ChordGraph(graph.nodes, ())
         text = export_json(bare)

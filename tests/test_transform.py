@@ -13,6 +13,7 @@ from chordgroups.core import (
     InvalidChordError,
     WrongArityError,
     chord_row,
+    chord_to_partition,
     enumerate_chords,
     make_chord,
     make_composition,
@@ -90,6 +91,15 @@ class TestInversion:
     def test_single_tone_is_fixed(self):
         assert invert((0,)) == (0,)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_power_k_is_identity(self, k):
+        # the orbit period may properly divide k (augmented triad, dd chord)
+        for chord in enumerate_chords(k):
+            current = chord
+            for _ in range(k):
+                current = invert(current)
+            assert current == chord
+
 
 class TestDuality:
     @pytest.mark.parametrize(
@@ -105,6 +115,11 @@ class TestDuality:
     def test_known_images(self, chord, image):
         assert dual(chord) == image
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_is_an_involution(self, k):
+        for chord in enumerate_chords(k):
+            assert dual(dual(chord)) == chord
+
 
 class TestAugdim:
     @pytest.mark.parametrize(
@@ -118,13 +133,38 @@ class TestAugdim:
     def test_known_images(self, chord, image):
         assert augdim(chord) == image
 
+    def test_is_an_involution(self):
+        for chord in enumerate_chords(4):
+            assert augdim(augdim(chord)) == chord
+
     @pytest.mark.parametrize("chord", [(0, 4, 7), (0, 2), (0, 1, 2, 3, 4)])
     def test_rejects_other_sizes(self, chord):
         with pytest.raises(WrongArityError):
             augdim(chord)
 
 
+class TestDihedralIdentity:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_dual_conjugates_inversion(self, k):
+        for chord in enumerate_chords(k):
+            for n in range(k + 1):
+                image = chord
+                for _ in range(n):
+                    image = invert(image)
+                expected = dual(chord)
+                for _ in range((k - n) % k):
+                    expected = invert(expected)
+                assert dual(image) == expected
+
+
 class TestGapActions:
+    def test_operators_act_on_gaps_by_position(self):
+        for chord in CHORDS:
+            for op in _operators_on(chord):
+                image = SINGLE[op](chord)
+                assert image == ORACLES[op](chord)
+                assert gaps(image) == [gaps(chord)[p] for p in gap_permutation(op, len(chord))]
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_gap_permutations_permute_the_positions(self, k):
         for op in (I, D, A) if k == 4 else (I, D):
@@ -151,6 +191,12 @@ class TestGapActions:
                     image = SINGLE[op](argument)
                     assert image == expected
                     assert image is make_chord(expected)
+
+    def test_operators_preserve_the_partition(self):
+        for chord in enumerate_chords(4):
+            target = chord_to_partition(chord)
+            for op in (invert, dual, augdim):
+                assert chord_to_partition(op(chord)) == target
 
     def test_gap_actions_generate_every_ordering(self):
         members = orbit((0, 1, 3, 7), [I, D, A])
