@@ -116,7 +116,7 @@ def is_harmonic_seventh(chord: Chord) -> bool:
 
 
 def family_row(family: Family) -> tuple[Chord, ...]:
-    """The inversion orbit of the family's root, in inversion order, as table tuples.
+    """The inversion orbit of the family's root, in inversion order, as the chord store's tuples.
 
     Augmented triads and dd sevenths are inversion-stable, so their row has
     a single entry; every other family fills a full cycle.  Anything but a

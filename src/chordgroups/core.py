@@ -14,23 +14,26 @@ gives a *partition* of 12:
 
 Chords, compositions and partitions are all plain tuples of ints, so they
 hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
-``make_partition`` are the validating constructors.  The chord table
-(``CHORD_TABLES``) holds one row per chord of each size, and ``chord_row``
-is the one chord validation: ``make_chord``, the operators and ``classify``
+``make_partition`` are the validating constructors.  The chord store
+holds one row per chord of every size built so far, in one plain dict,
+``CHORD_ROWS``, keyed by the chord, so that validating a chord is one
+probe; ``CHORD_SIZES`` lists each built size's chords.  ``chord_row`` is
+the one chord validation: ``make_chord``, the operators and ``classify``
 all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
-table itself, since they need no int check.  ``format_chord`` and
+store itself, since they need no int check.  ``format_chord`` and
 ``format_parts`` validate too, and so do ``chord_to_composition`` and
 ``chord_to_partition``, whose answers are slots of the chord's row.
 
-Everything the library fills on first use is a cache: the per-size tables
-of ``CHORD_TABLES``, the operator, composition and partition slots of
-their rows, ``_FIBERS`` (each partition's chords), ``transform._ORBITS``,
-``gap_permutation``'s ``functools.cache`` and each ``ChordGraph``'s
-``_memo``, which holds the graph's components, isomorphism and DOT and
-JSON texts once a graph function has derived them.  Dropping any of them
+Everything the library fills on first use is a cache: the chord store
+(``CHORD_ROWS`` and ``CHORD_SIZES``, one cache, dropped together), the
+operator, composition and partition slots of its rows, ``_FIBERS`` (each
+partition's chords), ``transform._ORBITS``, ``gap_permutation``'s
+``functools.cache`` and each ``ChordGraph``'s ``_memo``, which holds the
+graph's components, isomorphism and DOT and JSON texts once a graph
+function has derived them.  Dropping any of them
 at any time changes no public answer, compared by equality.  A call that
 raises stores nothing, so a graph whose isomorphism fails raises on every
-call.  Identity does not survive a drop: after ``CHORD_TABLES`` is
+call.  Identity does not survive a drop: after the chord store is
 dropped, the label tables' keys are ``make_chord``'s own tuples again only
 in a fresh process, and a fiber's members only once ``_FIBERS`` is
 dropped too.
@@ -134,48 +137,62 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
             raise error(f"{what} {value!r} is not an int")
 
 
-class _ChordTables(dict):
-    """Chord size -> ``{chord: row}`` over every chord of that size, built on first use.
-
-    A row is ``[chord, i, d, a, composition, partition]``.  ``transform``
-    fills each operator's slot on first use with the row of the chord's
-    image, so each chord tuple exists once and a walk from row to row
-    hashes nothing; :func:`chord_to_composition` and
-    :func:`chord_to_partition` fill the last two on first use.  A size
-    outside 1..12 has an empty table.  Sizes are built one at a time,
-    on first lookup, so that a caller pays only for the sizes it uses.
-    """
-
-    def __missing__(self, k: int) -> dict[Chord, list]:
-        if not 1 <= k <= OCTAVE:
-            return {}
-        chords = map((0,).__add__, combinations(range(1, OCTAVE), k - 1))
-        table = {chord: [chord, None, None, None, None, None] for chord in chords}
-        return self.setdefault(k, table)  # two threads building k keep one table
+# The chord store, built a size at a time on first use so that a caller pays
+# only for the sizes it uses: CHORD_ROWS maps each chord of every built size
+# to its row, and CHORD_SIZES each built size to its chords in order, as the
+# rows' own tuples.  A row is [chord, i, d, a, composition, partition], and
+# each chord tuple exists once.  ``transform`` fills each operator's slot on
+# first use with the row of the chord's image, so a walk from row to row
+# hashes nothing; chord_to_composition and chord_to_partition fill the last
+# two on first use.  A size is built only by _build_size, and the two dicts
+# are dropped together, so a size in CHORD_SIZES has all its rows.
+CHORD_ROWS: dict[Chord, list] = {}
+CHORD_SIZES: dict[int, tuple[Chord, ...]] = {}
 
 
-CHORD_TABLES = _ChordTables()
+def _build_size(k: int) -> tuple[Chord, ...]:
+    """Add the rows of every k-tone chord, 1 <= k <= 12, to the store; the size's chords."""
+    chords = map((0,).__add__, combinations(range(1, OCTAVE), k - 1))
+    # setdefault keeps one row per chord when two threads build k at once,
+    # and the size goes in only once its rows are all there
+    rows = [CHORD_ROWS.setdefault(chord, [chord, None, None, None, None, None]) for chord in chords]
+    return CHORD_SIZES.setdefault(k, tuple([row[0] for row in rows]))
 
 
 def chord_row(chord: Chord) -> list:
-    """The chord table's row for a valid chord; ``row[0]`` is the table's own tuple.
+    """The store's row for a valid chord; ``row[0]`` is the store's own tuple.
 
-    Anything else raises InvalidChordError: a list or a value without a
-    length, and every tuple that ``make_chord`` rejects, with its subclass
-    and message.
+    A hit is one probe of ``CHORD_ROWS``.  Anything else raises
+    InvalidChordError: a list or a value without a length, and every tuple
+    that ``make_chord`` rejects, with its subclass and message.
     """
     try:
-        row = CHORD_TABLES[len(chord)][chord]
-    except (KeyError, TypeError):  # a miss, no length, or an unhashable tone
-        raise _rejection(chord) from None
+        row = CHORD_ROWS[chord]
+    except (KeyError, TypeError):  # a miss, or an unhashable tone or value
+        row = _missing_row(chord)
     if row[0] is not chord:
         # (0, 4, 7.0) and (False, 4, 7) hash and compare equal to (0, 4, 7)
         _require_ints(chord, InvalidChordError, "tone")
     return row
 
 
+def _missing_row(chord: Chord) -> list:
+    """A store miss: build the chord's size if it is unbuilt and probe again, else reject.
+
+    A miss of a built size rebuilds nothing, so an invalid query costs no build.
+    """
+    try:
+        k = len(chord)
+        if k not in CHORD_SIZES and 1 <= k <= OCTAVE:
+            _build_size(k)
+            return CHORD_ROWS[chord]
+    except (KeyError, TypeError):  # still a miss, no length, or an unhashable tone
+        pass
+    raise _rejection(chord) from None
+
+
 def _rejection(value: object) -> InvalidChordError:
-    """Why a value that is not in the chord table is not a chord."""
+    """Why a value that is not in the chord store is not a chord."""
     if not isinstance(value, tuple):
         return InvalidChordError(f"a chord is a tuple of ints, got {value!r}")
     if not value:
@@ -188,12 +205,12 @@ def _rejection(value: object) -> InvalidChordError:
             return ToneOutOfRangeError(f"tone {tone} is outside 0..11")
     if value[0] != 0:
         return FirstToneNotZeroError(f"a chord starts at 0, got {value[0]}")
-    # the table holds every strictly increasing tuple of ints in 0..11 from 0
+    # the store holds every strictly increasing tuple of ints in 0..11 from 0
     return NotStrictlyIncreasingError(f"tones must strictly increase: {value}")
 
 
 def make_chord(tones: Iterable[int]) -> Chord:
-    """Validate a tone sequence as a chord; returns the chord table's own tuple.
+    """Validate a tone sequence as a chord; returns the chord store's own tuple.
 
     A valid chord of ``int`` tones (bools excluded) starts at 0, is
     strictly increasing, and stays within 0..11.  Anything else raises
@@ -310,9 +327,9 @@ def _require_size(k: int, what: str) -> None:
 
 
 def enumerate_chords(k: int) -> list[Chord]:
-    """All k-tone chords (0 plus each (k-1)-subset of 1..11) as table tuples, sorted."""
+    """All k-tone chords (0 plus each (k-1)-subset of 1..11) as the store's tuples, sorted."""
     _require_size(k, "chord size")
-    return list(CHORD_TABLES[k])
+    return list(CHORD_SIZES.get(k) or _build_size(k))
 
 
 def enumerate_partitions(k: int) -> list[Partition]:
@@ -331,18 +348,18 @@ def _partitions_into(total: int, k: int, minimum: int) -> Iterator[Partition]:
             yield (first, *rest)
 
 
-# partition -> its fiber, as the chord table's own tuples; filled on first use.
+# partition -> its fiber, as the chord store's own tuples; filled on first use.
 # It serves verify-sweep's repeated verdicts, which it sped up 29% (BENCH_25.json).
 _FIBERS: dict[Partition, tuple[Chord, ...]] = {}
 
 
 def chords_of_partition(partition: Partition) -> list[Chord]:
-    """Every chord whose gap multiset is the given partition, as the table's own tuples.
+    """Every chord whose gap multiset is the given partition, as the store's own tuples.
 
     One chord per distinct ordering of the parts; returned in lexicographic
     order (orderings and their prefix-sum chords sort identically).  What
     ``make_partition`` rejects raises its ValueError.  Each fiber is built
-    once, from the orderings' prefix sums and with no chord-table slot
+    once, from the orderings' prefix sums and with no chord-row slot
     read, then kept in ``_FIBERS``; every call returns a new list.
 
     >>> chords_of_partition((3, 3, 3, 3))
@@ -351,10 +368,9 @@ def chords_of_partition(partition: Partition) -> list[Chord]:
     parts = make_partition(partition)
     fiber = _FIBERS.get(parts)
     if fiber is None:
-        table = CHORD_TABLES[len(parts)]
-        # each prefix-sum tuple swapped for the table's own, as parse_chord does
+        # each prefix-sum tuple swapped for the store's own, as parse_chord does
         chords = map(composition_to_chord, _distinct_orderings(parts))
-        fiber = tuple([table[chord][0] for chord in chords])
+        fiber = tuple([(CHORD_ROWS.get(chord) or _missing_row(chord))[0] for chord in chords])
         _FIBERS[parts] = fiber  # stored only once the fiber is complete
     return list(fiber)
 
@@ -390,12 +406,12 @@ def parse_chord(text: str) -> Chord:
     as ``"+4"``, ``"-0"``, ``"1_1"`` or non-ASCII digits, are rejected, as is
     a non-str.  A negative tone such as ``"-3"`` is read, and rejected as out
     of range.
-    Returns the chord table's own tuple, and rejects text that is not a
+    Returns the chord store's own tuple, and rejects text that is not a
     chord with ``make_chord``'s subclass and message.
 
-    The tones are looked up in the chord table directly, not through
+    The tones are looked up in the chord store directly, not through
     :func:`chord_row`: ``int()`` on text always returns an exact ``int``,
-    so a table hit cannot be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that
+    so a store hit cannot be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that
     ``chord_row``'s int pass is there to catch.
     """
     try:
@@ -414,10 +430,7 @@ def parse_chord(text: str) -> Chord:
         raise InvalidChordError(f"cannot parse chord text {text!r}") from None
     if "-0" in body and any(t == 0 and "-" in s for s, t in zip(body.split(","), tones)):
         raise InvalidChordError(f"cannot parse chord text {text!r}")  # a signed zero
-    try:
-        return CHORD_TABLES[len(tones)][tones][0]
-    except KeyError:
-        raise _rejection(tones) from None
+    return (CHORD_ROWS.get(tones) or _missing_row(tones))[0]
 
 
 def format_chord(chord: Chord) -> str:

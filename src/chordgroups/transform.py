@@ -10,14 +10,15 @@ is the one definition of all three:
   four-tone chords only.  ``d`` and ``a`` are involutions.
 
 The operators permute a finite set, 2048 chords in all, so each action is
-one step in ``core``'s chord table, which holds one row
-``[chord, i, d, a, composition, partition]`` per chord (the last two
-answer ``core``'s converters).  ``core.chord_row`` finds a chord's row and
-raises InvalidChordError for anything that is not a chord.  An operator's
-slot is filled on first use, from
+one step in ``core``'s chord store, one dict ``CHORD_ROWS`` that maps each
+chord to its row ``[chord, i, d, a, composition, partition]`` (the last
+two answer ``core``'s converters).  ``core.chord_row`` finds a chord's row
+in one probe and raises InvalidChordError for anything that is not a
+chord.  An operator's slot is filled on first use, from
 ``_permute(chord, gap_permutation(op, k))``, with the row of the image,
-whose first item is the table's own tuple for it.
-``invert``, ``dual`` and ``augdim`` are one lookup and one slot read.
+looked up in the same store, whose first item is the store's own tuple
+for it.  ``invert``, ``dual`` and ``augdim`` are one probe and one slot
+read.
 ``apply_word`` walks the slots letter by letter, left to right (pipeline
 order, the convention used throughout the CLI).  ``_walk`` is the one
 breadth-first closure over a set of slots: ``orbit`` sorts its chords, and
@@ -39,7 +40,7 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cache
 
-from .core import CHORD_TABLES, OCTAVE, Chord, WrongArityError, chord_row
+from .core import CHORD_ROWS, OCTAVE, Chord, WrongArityError, _missing_row, chord_row
 
 
 class Operator(Enum):
@@ -83,7 +84,7 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
     return tuple(image)
 
 
-# A chord's table row is [chord, i, d, a, composition, partition]: slot
+# A chord's row is [chord, i, d, a, composition, partition]: slot
 # n = 1..3 holds the row of the image under _OPERATORS[n], once filled.
 _OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
 _SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}
@@ -101,8 +102,9 @@ def _fill(row: list, slot: int) -> list:
     """Fill an empty slot with the image's row; WrongArityError for ``a`` unless four tones."""
     chord = row[0]
     k = len(chord)
-    row[slot] = image = CHORD_TABLES[k][_permute(chord, gap_permutation(_OPERATORS[slot], k))]
-    return image
+    image = _permute(chord, gap_permutation(_OPERATORS[slot], k))
+    row[slot] = image_row = CHORD_ROWS.get(image) or _missing_row(image)
+    return image_row
 
 
 def invert(chord: Chord) -> Chord:

@@ -20,7 +20,7 @@ chord in its orbit per ordering.  ``degree-regularity``, ``components`` and
 ``isomorphism`` read the two shared graphs, whose components and
 isomorphism each process derives once, on the first verdict.  After a
 process's first verdict, ``chord_to_composition`` and
-``chord_to_partition``, like the operators, answer from chord-table slots,
+``chord_to_partition``, like the operators, answer from chord-row slots,
 and ``chords_of_partition`` from its fiber memo.  ``composition_to_chord``
 computes on every call, and only ``core-roundtrip`` calls it, so that check
 compares the composition slots with fresh prefix sums.  A converter fault

@@ -31,15 +31,20 @@ from chordgroups.core import (
 )
 
 
+def drop_the_chord_store() -> None:
+    core.CHORD_ROWS.clear()
+    core.CHORD_SIZES.clear()
+
+
 def gap_converters() -> None:
-    # chord_to_composition and chord_to_partition answer from chord-table
+    # chord_to_composition and chord_to_partition answer from chord-row
     # slots filled on first use; on every chord of sizes 1-12 they must
     # be tuples of ints equal to the gaps taken from tone differences
-    # (sorted for the partition), cold and again after the tables are
+    # (sorted for the partition), cold and again after the chord store is
     # dropped, and anything that is not a chord must raise InvalidChordError
     chords = [(0, *rest) for k in range(1, 13) for rest in combinations(range(1, 12), k - 1)]
     # the cold pass fills each partition slot first, the second each composition slot
-    for when, partition_first in (("cold", True), ("after CHORD_TABLES.clear()", False)):
+    for when, partition_first in (("cold", True), ("after the chord store is dropped", False)):
         for chord in chords:
             gaps = tuple(b - a for a, b in zip(chord, (*chord[1:], 12)))
             calls = [(chord_to_partition, tuple(sorted(gaps))), (chord_to_composition, gaps)]
@@ -49,7 +54,7 @@ def gap_converters() -> None:
                 exact = type(answer) is tuple and all(type(g) is int for g in answer)
                 if answer != expected or not exact:
                     sys.exit(f"{when}: {convert.__name__}({chord}) is {answer!r}")
-        core.CHORD_TABLES.clear()
+        drop_the_chord_store()
     for convert, value in ((chord_to_composition, (0, 13)), (chord_to_partition, [0, 4, 7])):
         try:
             convert(value)
@@ -62,7 +67,7 @@ def partition_fibers() -> None:
     # chords_of_partition keeps each fiber once built (core._FIBERS); for
     # all 77 partitions of sizes 1-12 it must equal the chords whose sorted
     # tone differences are the partition, cold, after the fiber memo is
-    # dropped and after the chord tables are dropped, and a caller's
+    # dropped and after the chord store is dropped, and a caller's
     # change to a returned list, from a memo miss or a hit, must reach no
     # later call
     fibers = {}
@@ -74,7 +79,7 @@ def partition_fibers() -> None:
     if len(fibers) != 77:
         sys.exit(f"{len(fibers)} partitions of 12, not 77")
     drops = (("cold", None), ("after _FIBERS.clear()", core._FIBERS.clear),
-             ("after CHORD_TABLES.clear()", core.CHORD_TABLES.clear))
+             ("after the chord store is dropped", drop_the_chord_store))
     for when, drop in drops:
         if drop is not None:
             drop()

@@ -4,14 +4,14 @@ A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
 the two gap converters, ``chords_of_partition``, ``classify``,
 ``seventh_table``, ``build_chord_graph`` and the four graph functions
 (components, isomorphism, DOT and JSON export) in any order, and between
-calls drops the per-size chord tables, the operator slots or the
-composition and partition slots of their rows, the fiber memo, the orbit
-memo, the gap-permutation cache or the two shared graphs' memos.  Every
-answer is checked against ``conftest``'s gaps, tone formulas, gap actions,
-golden label tables and export digests, none of which shares code with the
-library.  A returned list or dict is changed after its check, and the rule
-asks the same question again at once, so an answer that reflects the change
-fails within the rule that made it.
+calls drops the chord store (its rows and its size index), the operator
+slots or the composition and partition slots of its rows, the fiber memo,
+the orbit memo, the gap-permutation cache or the two shared graphs' memos.
+Every answer is checked against ``conftest``'s gaps, tone formulas, gap
+actions, golden label tables and export digests, none of which shares code
+with the library.  A returned list or dict is changed after its check, and
+the rule asks the same question again at once, so an answer that reflects
+the change fails within the rule that made it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ CHORDS = [(0, *rest) for k in range(2, 13) for rest in combinations(range(1, 12)
 FIBERS: dict = {}
 for _chord in [(0,), *CHORDS]:
     FIBERS.setdefault(tuple(sorted(gaps(_chord))), []).append(_chord)
-# half the draws are harmonic, so a dropped table meets a labelled chord often
+# half the draws are harmonic, so a dropped store meets a labelled chord often
 chords = st.one_of(st.sampled_from([*GOLDEN[3], *GOLDEN[4]]), st.sampled_from(CHORDS))
 tetrads = st.sampled_from([c for c in CHORDS if len(c) == 4])
 # half the draws are the harmonic classes' partitions, so a later call often
@@ -116,34 +116,36 @@ partitions = st.one_of(st.sampled_from(HARMONIC_PARTITIONS), st.sampled_from(sor
 class ChordTableCaches(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.tables = dict(core.CHORD_TABLES)
+        self.rows = dict(core.CHORD_ROWS)
+        self.sizes = dict(core.CHORD_SIZES)
         self.orbits = dict(transform._ORBITS)
         self.fibers = dict(core._FIBERS)
 
     def teardown(self) -> None:
-        # other tests hold the table's own tuples and compare them by identity
-        core.CHORD_TABLES.clear()
-        core.CHORD_TABLES.update(self.tables)
+        # other tests hold the store's own tuples and compare them by identity
+        core.CHORD_ROWS.clear()
+        core.CHORD_ROWS.update(self.rows)
+        core.CHORD_SIZES.clear()
+        core.CHORD_SIZES.update(self.sizes)
         transform._ORBITS.clear()
         transform._ORBITS.update(self.orbits)
         core._FIBERS.clear()
         core._FIBERS.update(self.fibers)
 
     @rule()
-    def drop_the_chord_tables(self) -> None:
-        core.CHORD_TABLES.clear()
+    def drop_the_chord_store(self) -> None:
+        core.CHORD_ROWS.clear()
+        core.CHORD_SIZES.clear()
 
     @rule()
     def drop_the_operator_slots(self) -> None:
-        for table in core.CHORD_TABLES.values():
-            for row in table.values():
-                row[1:4] = [None, None, None]  # the i, d and a slots
+        for row in core.CHORD_ROWS.values():
+            row[1:4] = [None, None, None]  # the i, d and a slots
 
     @rule()
     def drop_the_gap_slots(self) -> None:
-        for table in core.CHORD_TABLES.values():
-            for row in table.values():
-                row[4:6] = [None, None]  # the composition and partition slots
+        for row in core.CHORD_ROWS.values():
+            row[4:6] = [None, None]  # the composition and partition slots
 
     @rule()
     def drop_the_fiber_memo(self) -> None:
@@ -281,4 +283,27 @@ def test_the_stdlib_checks_pass_without_site():
         "The gap converters equal the tone differences on every chord: PASS\n"
         "Each partition's fiber equals the chords with its gaps: PASS\n"
         "Changing a graph answer changes no later answer: PASS\n"
+    )
+
+
+def test_the_chord_store_builds_a_size_on_first_use_only():
+    # a bare import builds sizes 3 and 4 (55 + 165 rows) for classify's label
+    # tables; a 2-tone chord adds its size alone (11 rows), and a rejected
+    # tuple of a built size adds nothing
+    code = (
+        "import chordgroups\n"
+        "from chordgroups import core\n"
+        "def show():\n"
+        "    print(sorted(core.CHORD_SIZES), len(core.CHORD_ROWS))\n"
+        "show()\n"
+        "chordgroups.make_chord((0, 5))\n"
+        "show()\n"
+        "try:\n"
+        "    chordgroups.make_chord((0, 4, 4, 7))\n"
+        "except chordgroups.InvalidChordError as error:\n"
+        "    print(type(error).__name__)\n"
+        "show()\n"
+    )
+    assert run_python("-S", "-c", code).stdout == (
+        "[3, 4] 220\n[2, 3, 4] 231\nNotStrictlyIncreasingError\n[2, 3, 4] 231\n"
     )

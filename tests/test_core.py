@@ -12,7 +12,7 @@ from conftest import gaps
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chordgroups import core
+from chordgroups import core, transform
 from chordgroups.core import (
     EmptyChordError,
     FirstToneNotZeroError,
@@ -573,3 +573,110 @@ class TestValidationBoundary:
         except InvalidChordError:
             return
         assert _is_valid_chord(chord)
+
+
+class TestChordStore:
+    """The store's slow path: a miss builds an unbuilt size, or rejects.
+
+    Each test puts the store back as it found it, since other tests hold
+    the store's own tuples and compare them by identity.
+    """
+
+    @pytest.fixture(autouse=True)
+    def restored_store(self):
+        rows, sizes = dict(core.CHORD_ROWS), dict(core.CHORD_SIZES)
+        yield
+        for store, saved in ((core.CHORD_ROWS, rows), (core.CHORD_SIZES, sizes)):
+            store.clear()
+            store.update(saved)
+
+    @staticmethod
+    def drop_the_store():
+        core.CHORD_ROWS.clear()
+        core.CHORD_SIZES.clear()
+
+    @pytest.mark.parametrize(
+        "find",
+        [
+            make_chord,
+            lambda chord: parse_chord(format_chord(chord)),
+            lambda chord: enumerate_chords(3)[ALL_CHORDS[3].index(chord)],
+        ],
+        ids=["make_chord", "parse_chord", "enumerate_chords"],
+    )
+    def test_a_dropped_size_is_found_again_as_the_new_store_tuple(self, find):
+        held = make_chord((0, 4, 7))
+        self.drop_the_store()
+        found = find((0, 4, 7))
+        assert found == held and found is not held
+        assert list(core.CHORD_SIZES) == [3]
+        assert found is core.CHORD_ROWS[found][0]
+        assert any(chord is found for chord in core.CHORD_SIZES[3])
+
+    def test_an_operator_fill_after_a_drop_finds_the_new_row(self):
+        # a row outside the store, so that no row the store gets back is changed
+        row = [make_chord((0, 4, 7)), None, None, None, None, None]
+        self.drop_the_store()
+        assert transform._fill(row, 1) is core.CHORD_ROWS[0, 3, 8]
+        assert list(core.CHORD_SIZES) == [3]
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            ((0, 4, 4), NotStrictlyIncreasingError, "tones must strictly increase: (0, 4, 4)"),
+            ((0, 4, 12), ToneOutOfRangeError, "tone 12 is outside 0..11"),
+            ((1, 4, 7), FirstToneNotZeroError, "a chord starts at 0, got 1"),
+            ((0, 4, 7.5), InvalidChordError, "tone 7.5 is not an int"),
+            ((0, [4], 7), InvalidChordError, "tone [4] is not an int"),
+        ],
+        ids=["repeated-tone", "tone-out-of-range", "not-from-0", "float-tone", "list-tone"],
+    )
+    def test_a_rejected_tuple_of_a_built_size_builds_nothing(
+        self, monkeypatch, value, error, message
+    ):
+        held = make_chord((0, 4, 7))
+        rows, size = len(core.CHORD_ROWS), core.CHORD_SIZES[3]
+        # a rebuild would keep every row (setdefault), so only a call shows it
+        builds = []
+        monkeypatch.setattr(core, "_build_size", builds.append)
+        with pytest.raises(InvalidChordError) as expected:
+            make_chord(value)
+        assert type(expected.value) is error and str(expected.value) == message
+        with pytest.raises(InvalidChordError) as excinfo:
+            core.chord_row(value)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+        assert make_chord((0, 4, 7)) is held
+        assert len(core.CHORD_ROWS) == rows and core.CHORD_SIZES[3] is size
+        assert builds == []
+
+    @pytest.mark.parametrize("value", [*range(14), (), tuple(range(13))], ids=repr)
+    def test_chord_row_rejects_ints_and_sizes_0_and_13(self, value):
+        sizes = dict(core.CHORD_SIZES)
+        with pytest.raises(InvalidChordError) as excinfo:
+            core.chord_row(value)
+        assert str(excinfo.value) == str(core._rejection(value))
+        assert core.CHORD_SIZES == sizes
+
+    def test_threads_building_one_size_keep_one_row_per_chord(self):
+        self.drop_the_store()
+        start = threading.Barrier(4)
+
+        def build(offset):
+            start.wait(timeout=60)
+            # each thread starts at a different size, so their builds overlap
+            sizes = [*range(1, 13)][offset:] + [*range(1, 13)][:offset]
+            return {k: enumerate_chords(k) for k in sizes}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(build, [0, 3, 6, 9], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(core.CHORD_ROWS) == 2048
+        for k in range(1, 13):
+            assert core.CHORD_SIZES[k] == tuple(ALL_CHORDS[k])
+            for result in results:
+                assert all(a is b for a, b in zip(result[k], core.CHORD_SIZES[k]))
+            assert all(core.CHORD_ROWS[chord][0] is chord for chord in core.CHORD_SIZES[k])

@@ -93,24 +93,32 @@ def test_partition_fibers_name_a_leaking_fiber(monkeypatch):
     assert CHECKS["partition-fibers"]() == (False, "fiber of (3, 4, 5) leaks")
 
 
-# After a first verdict the converters answer from chord-table slots and each
-# fiber from the fiber memo; a wrong slot must still fail the check that
-# compares it with chords built from prefix sums, so neither memo is checked
-# against itself.
+# After a first verdict the converters answer from chord-row slots, each
+# fiber from the fiber memo and each operator from its row's slot; a wrong
+# slot must still fail the check that compares it with chords built from
+# prefix sums or with the gap laws, so no memo is checked against itself.
+# The operator slot's value None stands for the planted row itself: a d slot
+# that holds its own row makes dual return the chord.
 @pytest.mark.parametrize(
-    "slot, value, check, detail",
+    "chord, slot, value, check, detail",
     [
-        (5, (1, 2, 9), "partition-fibers", "fiber of (3, 4, 5) leaks"),
-        (4, (3, 4, 5), "core-roundtrip", "round trip broke at (0, 4, 7)"),
+        ((0, 4, 7), 5, (1, 2, 9), "partition-fibers", "fiber of (3, 4, 5) leaks"),
+        ((0, 4, 7), 4, (3, 4, 5), "core-roundtrip", "round trip broke at (0, 4, 7)"),
+        (
+            (0, 1, 2, 3, 4),
+            2,
+            None,
+            "relations(k=5)",
+            "duality is not reverse at (0, 1, 2, 3, 4)",
+        ),
     ],
-    ids=["partition-slot", "composition-slot"],
+    ids=["partition-slot", "composition-slot", "operator-slot"],
 )
-def test_a_warm_verdict_catches_a_wrong_slot(monkeypatch, slot, value, check, detail):
+def test_a_warm_verdict_catches_a_wrong_slot(monkeypatch, chord, slot, value, check, detail):
     assert _failures() == {}
-    table = core.CHORD_TABLES[3]
-    wrong = list(table[0, 4, 7])
-    wrong[slot] = value
-    monkeypatch.setitem(table, (0, 4, 7), wrong)
+    wrong = list(core.CHORD_ROWS[chord])
+    wrong[slot] = wrong if value is None else value
+    monkeypatch.setitem(core.CHORD_ROWS, chord, wrong)
     assert _failures()[check] == detail
 
 
