@@ -17,26 +17,29 @@ hash, compare and sort naturally.  ``make_chord``, ``make_composition`` and
 ``make_partition`` are the validating constructors.  The chord store
 holds one row per chord of every size built so far, in one plain dict,
 ``CHORD_ROWS``, keyed by the chord, so that validating a chord is one
-probe; ``CHORD_SIZES`` lists each built size's chords.  ``chord_row`` is
-the one chord validation: ``make_chord``, the operators and ``classify``
-all go through it.  ``parse_chord`` looks its ``int()`` tones up in the
-store itself, since they need no int check.  ``format_chord`` and
+probe; ``CHORD_SIZES`` lists each built size's chords for
+``enumerate_chords``, and no lookup reads it.  ``_rejection`` is the chord
+rule, a pure function of the value: a miss raises its error, or, for a
+chord, builds the chord's size and probes again.  ``chord_row`` is the one
+chord validation: ``make_chord``, the operators and ``classify`` all go
+through it.  ``parse_chord`` looks its ``int()`` tones up in the store
+itself, since they need no int check.  ``format_chord`` and
 ``format_parts`` validate too, and so do ``chord_to_composition`` and
 ``chord_to_partition``, whose answers are slots of the chord's row.
 
 Everything the library fills on first use is a cache: the chord store
-(``CHORD_ROWS`` and ``CHORD_SIZES``, one cache, dropped together), the
-operator, composition and partition slots of its rows, ``_FIBERS`` (each
-partition's chords), ``transform._ORBITS``, ``gap_permutation``'s
-``functools.cache`` and each ``ChordGraph``'s ``_memo``, which holds the
-graph's components, isomorphism and DOT and JSON texts once a graph
-function has derived them.  Dropping any of them
-at any time changes no public answer, compared by equality.  A call that
-raises stores nothing, so a graph whose isomorphism fails raises on every
-call.  Identity does not survive a drop: after the chord store is
-dropped, the label tables' keys are ``make_chord``'s own tuples again only
-in a fresh process, and a fiber's members only once ``_FIBERS`` is
-dropped too.
+(``CHORD_ROWS`` and ``CHORD_SIZES``), the operator, composition and
+partition slots of its rows, ``_FIBERS`` (each partition's chords),
+``transform._ORBITS``, ``gap_permutation``'s ``functools.cache`` and each
+``ChordGraph``'s ``_memo``, which holds the graph's components,
+isomorphism and DOT and JSON texts once a graph function has derived
+them.  Dropping any of them at any time, even ``CHORD_ROWS`` without
+``CHORD_SIZES``, changes no public answer, compared by equality.  A call
+that raises stores nothing: a value that is not a chord builds no size of
+the store, and a graph whose isomorphism fails raises on every call.
+Identity does not survive a drop: after the chord store is dropped, the
+label tables' keys are ``make_chord``'s own tuples again only in a fresh
+process, and a fiber's members only once ``_FIBERS`` is dropped too.
 ``classify._LABELS``, ``graph._PARTNER`` and the two graphs in
 ``graph._GRAPHS``, with their node and edge Records, are built at import,
 never written afterwards (but for the graphs' memos) and shared by every
@@ -144,8 +147,8 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
 # each chord tuple exists once.  ``transform`` fills each operator's slot on
 # first use with the row of the chord's image, so a walk from row to row
 # hashes nothing; chord_to_composition and chord_to_partition fill the last
-# two on first use.  A size is built only by _build_size, and the two dicts
-# are dropped together, so a size in CHORD_SIZES has all its rows.
+# two on first use.  A size is built only by _build_size, for a chord that
+# missed or for enumerate_chords; every lookup reads CHORD_ROWS alone.
 CHORD_ROWS: dict[Chord, list] = {}
 CHORD_SIZES: dict[int, tuple[Chord, ...]] = {}
 
@@ -162,9 +165,10 @@ def _build_size(k: int) -> tuple[Chord, ...]:
 def chord_row(chord: Chord) -> list:
     """The store's row for a valid chord; ``row[0]`` is the store's own tuple.
 
-    A hit is one probe of ``CHORD_ROWS``.  Anything else raises
-    InvalidChordError: a list or a value without a length, and every tuple
-    that ``make_chord`` rejects, with its subclass and message.
+    A hit is one probe of ``CHORD_ROWS``, and a miss goes to
+    :func:`_missing_row`.  Anything else raises InvalidChordError: a list
+    or a value without a length, and every tuple that ``make_chord``
+    rejects, with its subclass and message.
     """
     try:
         row = CHORD_ROWS[chord]
@@ -177,22 +181,28 @@ def chord_row(chord: Chord) -> list:
 
 
 def _missing_row(chord: Chord) -> list:
-    """A store miss: build the chord's size if it is unbuilt and probe again, else reject.
+    """A store miss: raise the value's rejection, or build the chord's size and probe again.
 
-    A miss of a built size rebuilds nothing, so an invalid query costs no build.
+    A chord misses when its size is unbuilt or ``CHORD_ROWS`` was dropped;
+    a value that is not a chord builds nothing.
     """
+    error = _rejection(chord)
+    if error is None:
+        _build_size(len(chord))
+        return CHORD_ROWS[chord]
     try:
-        k = len(chord)
-        if k not in CHORD_SIZES and 1 <= k <= OCTAVE:
-            _build_size(k)
-            return CHORD_ROWS[chord]
-    except (KeyError, TypeError):  # still a miss, no length, or an unhashable tone
-        pass
-    raise _rejection(chord) from None
+        raise error from None
+    finally:
+        del error  # the traceback holds this frame: a bound error would make a cycle
 
 
-def _rejection(value: object) -> InvalidChordError:
-    """Why a value that is not in the chord store is not a chord."""
+def _rejection(value: object) -> InvalidChordError | None:
+    """The chord rule: the error for the first rule a value breaks, or None for a chord.
+
+    A chord is a nonempty tuple of ints (bools excluded) in 0..11 that
+    starts at 0 and strictly increases; the rules are tested in that
+    order.  The answer depends on the value alone, not on the store.
+    """
     if not isinstance(value, tuple):
         return InvalidChordError(f"a chord is a tuple of ints, got {value!r}")
     if not value:
@@ -205,8 +215,12 @@ def _rejection(value: object) -> InvalidChordError:
             return ToneOutOfRangeError(f"tone {tone} is outside 0..11")
     if value[0] != 0:
         return FirstToneNotZeroError(f"a chord starts at 0, got {value[0]}")
-    # the store holds every strictly increasing tuple of ints in 0..11 from 0
-    return NotStrictlyIncreasingError(f"tones must strictly increase: {value}")
+    previous = -1  # a plain loop costs a third of zip over a slice
+    for tone in value:
+        if tone <= previous:
+            return NotStrictlyIncreasingError(f"tones must strictly increase: {value}")
+        previous = tone
+    return None
 
 
 def make_chord(tones: Iterable[int]) -> Chord:
@@ -418,8 +432,10 @@ def parse_chord(text: str) -> Chord:
         body = text.strip()
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-    except (AttributeError, TypeError):  # not text: 5, None, b"0,4,7"
-        raise _rejection(text) from None
+    except (AttributeError, TypeError):  # not text: 5, None, b"0,4,7", (0, 4, 7)
+        raise _rejection(text) or InvalidChordError(
+            f"chord text must be a str, got {text!r}"
+        ) from None
     if not body.strip():
         raise EmptyChordError("empty chord text")
     if not body.isascii() or "_" in body or "+" in body:

@@ -288,22 +288,31 @@ def test_the_stdlib_checks_pass_without_site():
 
 def test_the_chord_store_builds_a_size_on_first_use_only():
     # a bare import builds sizes 3 and 4 (55 + 165 rows) for classify's label
-    # tables; a 2-tone chord adds its size alone (11 rows), and a rejected
+    # tables; a rejected value of an unbuilt size (5, 12 and 8 tones) adds
+    # nothing, a 2-tone chord adds its size alone (11 rows), and a rejected
     # tuple of a built size adds nothing
     code = (
         "import chordgroups\n"
         "from chordgroups import core\n"
         "def show():\n"
         "    print(sorted(core.CHORD_SIZES), len(core.CHORD_ROWS))\n"
+        "def reject(value):\n"
+        "    try:\n"
+        "        chordgroups.make_chord(value)\n"
+        "    except chordgroups.InvalidChordError as error:\n"
+        "        print(type(error).__name__)\n"
+        "show()\n"
+        "for value in (0, 4, 4, 4, 4), '0,4,7,9,11,2', [0] * 8:\n"
+        "    reject(value)\n"
         "show()\n"
         "chordgroups.make_chord((0, 5))\n"
         "show()\n"
-        "try:\n"
-        "    chordgroups.make_chord((0, 4, 4, 7))\n"
-        "except chordgroups.InvalidChordError as error:\n"
-        "    print(type(error).__name__)\n"
+        "reject((0, 4, 4, 7))\n"
         "show()\n"
     )
     assert run_python("-S", "-c", code).stdout == (
-        "[3, 4] 220\n[2, 3, 4] 231\nNotStrictlyIncreasingError\n[2, 3, 4] 231\n"
+        "[3, 4] 220\n"
+        "NotStrictlyIncreasingError\nInvalidChordError\nNotStrictlyIncreasingError\n"
+        "[3, 4] 220\n"
+        "[2, 3, 4] 231\nNotStrictlyIncreasingError\n[2, 3, 4] 231\n"
     )

@@ -5,7 +5,7 @@ pitch-class sets, counted by Burnside's lemma as necklaces; the ``<i,d>``-
 orbits are Forte's set classes (Forte, *The Structure of Atonal Music*,
 1973).  Neither count comes from the library.  The orbit-stabilizer checks
 close the generators' gap permutations into a group here (``_group``), so
-they share no code with ``orbit``, which walks the library's chord table.
+they share no code with ``orbit``, which walks the library's chord store.
 """
 
 from __future__ import annotations

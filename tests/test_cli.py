@@ -237,7 +237,7 @@ class TestVerify:
 
 
 # verify, the graph exports, orbit and enumerate walk sets and dicts of
-# strings, and orbit collects a set of chords from the chord table
+# strings, and orbit collects a set of chords from the chord store
 @pytest.mark.parametrize(
     "argv",
     [

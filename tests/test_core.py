@@ -249,7 +249,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("k", [4.0, "4", True], ids=repr)
     def test_a_chord_size_that_is_not_an_int_is_invalid(self, k):
-        # 4.0 and True hash and compare equal to sizes of the chord table
+        # 4.0 and True hash and compare equal to sizes in the chord store
         with pytest.raises(InvalidSizeError):
             enumerate_chords(k)
         with pytest.raises(InvalidSizeError):
@@ -461,6 +461,8 @@ class TestTextForms:
             (5, InvalidChordError, "a chord is a tuple of ints, got 5"),
             (None, InvalidChordError, "a chord is a tuple of ints, got None"),
             (b"0,4,7", InvalidChordError, "a chord is a tuple of ints, got b'0,4,7'"),
+            # a chord, but not text: plain InvalidChordError, not a chord rule's subclass
+            ((0, 4, 7), InvalidChordError, "chord text must be a str, got (0, 4, 7)"),
         ],
         ids=repr,
     )
@@ -503,7 +505,7 @@ class TestTextForms:
         expected = outcome(make_chord, [int(t) for t in tokens])
         assert parsed == expected
         if type(expected) is tuple and type(expected[0]) is int:
-            assert parsed is expected  # both are the chord table's own tuple
+            assert parsed is expected  # both are the chord store's own tuple
 
     @given(chord_strategy)
     def test_parse_format_round_trip(self, chord):
@@ -575,8 +577,27 @@ class TestValidationBoundary:
         assert _is_valid_chord(chord)
 
 
+class TestChordRule:
+    """``core._rejection`` is the whole chord rule, whatever the store holds."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_no_chord_is_rejected(self, k):
+        assert [chord for chord in ALL_CHORDS[k] if core._rejection(chord) is not None] == []
+
+    @given(
+        st.one_of(
+            chord_strategy,
+            st.lists(st.integers(min_value=-2, max_value=13), max_size=13).map(tuple),
+        )
+    )
+    def test_a_tuple_is_rejected_exactly_when_it_is_not_a_chord(self, value):
+        error = core._rejection(value)
+        assert (error is None) == _is_valid_chord(value)
+        assert error is None or isinstance(error, InvalidChordError)
+
+
 class TestChordStore:
-    """The store's slow path: a miss builds an unbuilt size, or rejects.
+    """The store's slow path: a miss rejects what is not a chord, or builds the chord's size.
 
     Each test puts the store back as it found it, since other tests hold
     the store's own tuples and compare them by identity.
@@ -648,6 +669,58 @@ class TestChordStore:
         assert make_chord((0, 4, 7)) is held
         assert len(core.CHORD_ROWS) == rows and core.CHORD_SIZES[3] is size
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (
+                (0, 4, 4, 4, 4),
+                NotStrictlyIncreasingError,
+                "tones must strictly increase: (0, 4, 4, 4, 4)",
+            ),
+            (
+                [0] * 8,
+                NotStrictlyIncreasingError,
+                "tones must strictly increase: (0, 0, 0, 0, 0, 0, 0, 0)",
+            ),
+            # twelve characters, so a tuple of twelve strings
+            ("0,4,7,9,11,2", InvalidChordError, "tone '0' is not an int"),
+        ],
+        ids=["size-5", "size-8", "size-12"],
+    )
+    def test_a_rejected_value_of_an_unbuilt_size_builds_nothing(
+        self, monkeypatch, value, error, message
+    ):
+        for k in (5, 8, 12):  # drop the three sizes, rows and all
+            for chord in core.CHORD_SIZES.pop(k, ()):
+                del core.CHORD_ROWS[chord]
+        rows, sizes = len(core.CHORD_ROWS), dict(core.CHORD_SIZES)
+        builds = []
+        monkeypatch.setattr(core, "_build_size", builds.append)
+        with pytest.raises(InvalidChordError) as excinfo:
+            make_chord(value)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+        assert len(core.CHORD_ROWS) == rows and core.CHORD_SIZES == sizes
+        assert builds == []
+        # a library frame that the traceback keeps and that holds the error makes
+        # a cycle; the first frame is this test's, whose asserts hold the error
+        traceback = excinfo.value.__traceback__.tb_next
+        while traceback is not None:
+            assert excinfo.value not in traceback.tb_frame.f_locals.values()
+            traceback = traceback.tb_next
+
+    @pytest.mark.parametrize(
+        "lookup, expected",
+        [
+            (lambda: make_chord((0, 4, 7)), (0, 4, 7)),
+            (lambda: parse_chord("0,4,7"), (0, 4, 7)),
+            (lambda: transform.invert((0, 4, 7)), (0, 3, 8)),
+        ],
+        ids=["make_chord", "parse_chord", "invert"],
+    )
+    def test_a_lookup_reads_the_rows_alone(self, lookup, expected):
+        core.CHORD_ROWS.clear()  # half a drop: CHORD_SIZES still lists size 3
+        assert lookup() == expected
 
     @pytest.mark.parametrize("value", [*range(14), (), tuple(range(13))], ids=repr)
     def test_chord_row_rejects_ints_and_sizes_0_and_13(self, value):

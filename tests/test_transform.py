@@ -180,8 +180,8 @@ class TestGapActions:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_slots_are_the_gap_permutations(self, k):
-        # each chord as the table's own tuple and as a fresh equal tuple, which
-        # takes the int pass; every image is the table's own tuple too
+        # each chord as the store's own tuple and as a fresh equal tuple, which
+        # takes the int pass; every image is the store's own tuple too
         for chord in enumerate_chords(k):
             key, fresh = make_chord(chord), (*chord,)
             assert fresh == key and fresh is not key
