@@ -33,7 +33,9 @@ partition slots of its rows, ``_FIBERS`` (each partition's chords),
 ``transform._ORBITS``, ``gap_permutation``'s ``functools.cache`` and each
 ``ChordGraph``'s ``_memo``, which holds the graph's components,
 isomorphism and DOT and JSON texts once a graph function has derived
-them.  Dropping any of them at any time, even ``CHORD_ROWS`` without
+them.  A fill answers with what it stored, read back from the cache, so a
+wrong stored value shows in the first answer, not only in a later one.
+Dropping any of them at any time, even ``CHORD_ROWS`` without
 ``CHORD_SIZES``, changes no public answer, compared by equality.  A call
 that raises stores nothing: a value that is not a chord builds no size of
 the store, and a graph whose isomorphism fails raises on every call.
@@ -313,13 +315,13 @@ def chord_to_partition(chord: Chord) -> Partition:
 def _fill_composition(row: list) -> Composition:
     # map applies operator.sub in C, with no Python step per gap
     chord = row[0]
-    row[4] = comp = tuple(map(sub, (*chord[1:], OCTAVE), chord))
-    return comp
+    row[4] = tuple(map(sub, (*chord[1:], OCTAVE), chord))
+    return row[4]
 
 
 def _fill_partition(row: list) -> Partition:
-    row[5] = parts = tuple(sorted(row[4] or _fill_composition(row)))
-    return parts
+    row[5] = tuple(sorted(row[4] or _fill_composition(row)))
+    return row[5]
 
 
 def composition_to_chord(comp: Composition) -> Chord:
@@ -384,8 +386,9 @@ def chords_of_partition(partition: Partition) -> list[Chord]:
     if fiber is None:
         # each prefix-sum tuple swapped for the store's own, as parse_chord does
         chords = map(composition_to_chord, _distinct_orderings(parts))
-        fiber = tuple([(CHORD_ROWS.get(chord) or _missing_row(chord))[0] for chord in chords])
-        _FIBERS[parts] = fiber  # stored only once the fiber is complete
+        # stored only once the fiber is complete, then read back from the memo
+        _FIBERS[parts] = tuple([(CHORD_ROWS.get(c) or _missing_row(c))[0] for c in chords])
+        fiber = _FIBERS[parts]
     return list(fiber)
 
 

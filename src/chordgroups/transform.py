@@ -103,8 +103,8 @@ def _fill(row: list, slot: int) -> list:
     chord = row[0]
     k = len(chord)
     image = _permute(chord, gap_permutation(_OPERATORS[slot], k))
-    row[slot] = image_row = CHORD_ROWS.get(image) or _missing_row(image)
-    return image_row
+    row[slot] = CHORD_ROWS.get(image) or _missing_row(image)
+    return row[slot]
 
 
 def invert(chord: Chord) -> Chord:
@@ -201,7 +201,8 @@ def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     slot_set = frozenset(slots)
     found = _ORBITS.get((slot_set, row[0]))
     if found is None:
-        found = tuple(sorted(_walk(row, slots)))
-        for member in found:  # stored only once the walk is complete
-            _ORBITS[slot_set, member] = found
+        members = tuple(sorted(_walk(row, slots)))
+        for member in members:  # stored only once the walk is complete
+            _ORBITS[slot_set, member] = members
+        found = _ORBITS[slot_set, row[0]]
     return list(found)

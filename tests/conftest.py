@@ -31,6 +31,10 @@ def pytest_runtest_makereport(item, call):
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# perfbench/oracle.py, the library-free oracle of gaps, gap actions, chords, labels
+# and export digests; appended last, so its directory shadows no module
+PERFBENCH = str(Path(SRC).parent / "perfbench")
+sys.path.append(PERFBENCH)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -49,14 +53,9 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return result
 
 
-def gaps(chord):
-    """The gap sequence of a chord, computed without the library."""
-    return [b - a for a, b in zip(chord, chord[1:])] + [12 - chord[-1]]
-
-
-# Test-side oracles: the README's operator table, kept separate from the
-# library's gap permutations so each checks the other.  TONE_FORMULAS holds
-# each operator's tone formula, GAP_ACTIONS its action on a chord's gaps.
+# The tone-level oracle: each operator's tone formula from the README's
+# operator table, kept separate from the library's gap permutations and from
+# oracle.GAP_ACTION, so each checks the others.
 def _invert_by_tones(chord):
     if len(chord) < 2:
         return chord
@@ -77,20 +76,6 @@ TONE_FORMULAS = {
     Operator.INVERSION: _invert_by_tones,
     Operator.DUALITY: _dual_by_tones,
     Operator.AUGDIM: _augdim_by_tones,
-}
-GAP_ACTIONS = {
-    Operator.INVERSION: lambda g: g[1:] + g[:1],
-    Operator.DUALITY: lambda g: g[::-1],
-    Operator.AUGDIM: lambda g: [g[0], g[2], g[1], g[3]],
-}
-
-
-# sha256 of each graph export, by (format, include_dd)
-EXPORT_SHA256 = {
-    ("dot", False): "96ef744f895f507c38dba4d0bb03785deb5db3e5b213d8d2401d5c5457443ecf",
-    ("dot", True): "f8beba61ca658baa949731b755d67635010afba87f3580fa079e283d054c15a6",
-    ("json", False): "5b7aa6fdebdd4918296fb0b623055ec9f4631d121efe7754a1d1b3987f2d2a09",
-    ("json", True): "a0e961e570c785a182e0f2662271558cfc692af680c4850258532452830e2a59",
 }
 
 

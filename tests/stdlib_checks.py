@@ -13,14 +13,17 @@ from what a bare ``import chordgroups`` leaves.
 The first two checks are the one place where the converters' and the
 fibers' answers are checked on every chord of every size, types included;
 the tier-1 suite runs this script in a ``-S`` child
-(``tests/test_caches.py``).
+(``tests/test_caches.py``).  The expected answers come from the
+benchmark's library-free oracle, ``perfbench/oracle.py``: its chord lists,
+gaps and partitions.  The script puts ``perfbench/`` last on its own path,
+since it runs as a script, outside pytest's ``conftest.py``.
 """
 
 from __future__ import annotations
 
 import copy
 import sys
-from itertools import combinations
+from pathlib import Path
 
 from chordgroups import core
 from chordgroups.core import (
@@ -29,6 +32,11 @@ from chordgroups.core import (
     chord_to_partition,
     chords_of_partition,
 )
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracle  # noqa: E402
+
+CHORDS = [chord for k in range(1, 13) for chord in oracle.all_chords(k)]
 
 
 def drop_the_chord_store() -> None:
@@ -42,12 +50,11 @@ def gap_converters() -> None:
     # be tuples of ints equal to the gaps taken from tone differences
     # (sorted for the partition), cold and again after the chord store is
     # dropped, and anything that is not a chord must raise InvalidChordError
-    chords = [(0, *rest) for k in range(1, 13) for rest in combinations(range(1, 12), k - 1)]
     # the cold pass fills each partition slot first, the second each composition slot
     for when, partition_first in (("cold", True), ("after the chord store is dropped", False)):
-        for chord in chords:
-            gaps = tuple(b - a for a, b in zip(chord, (*chord[1:], 12)))
-            calls = [(chord_to_partition, tuple(sorted(gaps))), (chord_to_composition, gaps)]
+        for chord in CHORDS:
+            calls = [(chord_to_partition, oracle.partition(chord)),
+                     (chord_to_composition, oracle.gaps(chord))]
             for convert, expected in calls if partition_first else calls[::-1]:
                 answer = convert(chord)
                 # (4.0, 3, 5) equals (4, 3, 5), so the types are checked too
@@ -71,11 +78,8 @@ def partition_fibers() -> None:
     # change to a returned list, from a memo miss or a hit, must reach no
     # later call
     fibers = {}
-    for k in range(1, 13):
-        for rest in combinations(range(1, 12), k - 1):
-            chord = (0, *rest)
-            gaps = sorted(b - a for a, b in zip(chord, (*chord[1:], 12)))
-            fibers.setdefault(tuple(gaps), []).append(chord)
+    for chord in CHORDS:
+        fibers.setdefault(oracle.partition(chord), []).append(chord)
     if len(fibers) != 77:
         sys.exit(f"{len(fibers)} partitions of 12, not 77")
     drops = (("cold", None), ("after _FIBERS.clear()", core._FIBERS.clear),

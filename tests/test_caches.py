@@ -7,17 +7,17 @@ the two gap converters, ``chords_of_partition``, ``classify``,
 calls drops the chord store (its rows and its size index), the operator
 slots or the composition and partition slots of its rows, the fiber memo,
 the orbit memo, the gap-permutation cache or the two shared graphs' memos.
-Every answer is checked against ``conftest``'s gaps, tone formulas, gap
-actions, golden label tables and export digests, none of which shares code
-with the library.  A returned list or dict is changed after its check, and
-the rule asks the same question again at once, so an answer that reflects
-the change fails within the rule that made it.
+Every answer is checked against ``conftest``'s tone formulas and
+``oracle``'s gaps, gap actions, chord lists, labels, component map and
+export digests, none of which shares code with the library.  A returned
+list or dict is changed after its check, and the rule asks the same
+question again at once, so an answer that reflects the change fails within
+the rule that made it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
@@ -38,72 +38,41 @@ from chordgroups.graph import (
 )
 from chordgroups.transform import Operator, apply_word, augdim, dual, invert, orbit
 
-from conftest import (
-    EXPORT_SHA256,
-    GAP_ACTIONS,
-    GOLDEN_HARMONIC_TETRADS,
-    GOLDEN_HARMONIC_TRIADS,
-    TONE_FORMULAS,
-    gaps,
-    run_python,
-)
+from conftest import TONE_FORMULAS, run_python
+import oracle
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
 
-def _golden(text: str) -> dict:
-    return {
-        tuple(map(int, tones.split(","))): label
-        for tones, label in (line.split() for line in text.splitlines())
-    }
-
-
 # chord size -> chord -> label text
-GOLDEN = {3: _golden(GOLDEN_HARMONIC_TRIADS), 4: _golden(GOLDEN_HARMONIC_TETRADS)}
+GOLDEN = {k: {c: label for c, label in oracle.LABELS.items() if len(c) == k} for k in (3, 4)}
 
 # the seventh families in the paper's order; a label is its family, then its inversion
 FAMILIES = ["MM", "mM", "AM", "Mm", "dm", "mm", "dd"]
 
 
 def _components(include_dd: bool) -> list:
-    """The tetrads split by gap multiset, as (id, chord) lists, largest first."""
-    split: dict = {}
-    for chord, label in sorted(GOLDEN[4].items(), key=lambda item: _rank(item[1])):
-        if include_dd or label != "dd0":
-            split.setdefault(tuple(sorted(gaps(chord))), []).append((label, chord))
-    return sorted(split.values(), key=len, reverse=True)
+    """oracle.components as (id, chord) lists, in family then inversion order."""
+    ranked = [sorted(ids, key=_rank) for ids in oracle.components(include_dd)]
+    return [[(label, oracle.CHORD_OF_LABEL[label]) for label in ids] for ids in ranked]
 
 
 def _rank(label: str) -> tuple:
     return FAMILIES.index(label[:2]), int(label[2:])
 
 
-def _relabelled(chord: tuple) -> tuple:
-    """The chord whose gaps are chord's under the gap relabelling 1->2, 3->4, 4->3."""
-    new_gaps = [{1: 2, 3: 4, 4: 3}[gap] for gap in gaps(chord)]
-    return tuple(accumulate([0, *new_gaps[:-1]]))
-
-
-# each label of the 1, 3, 4, 4 component -> the label of its image
-ISOMORPHISM = {
-    label: GOLDEN[4][_relabelled(chord)]
-    for chord, label in GOLDEN[4].items()
-    if sorted(gaps(chord)) == [1, 3, 4, 4]
-}
-
-
 def _image(op: Operator, chord: tuple) -> tuple:
     """The image by op's tone formula, checked against its gap action."""
     image = TONE_FORMULAS[op](chord)
-    assert gaps(image) == GAP_ACTIONS[op](gaps(chord))
+    assert oracle.gaps(image) == oracle.GAP_ACTION[op.value](oracle.gaps(chord))
     return image
 
 
-CHORDS = [(0, *rest) for k in range(2, 13) for rest in combinations(range(1, 12), k - 1)]
+CHORDS = [chord for k in range(2, 13) for chord in oracle.all_chords(k)]
 # partition -> its chords, sorted: the chords of its size whose sorted gaps it is
 FIBERS: dict = {}
 for _chord in [(0,), *CHORDS]:
-    FIBERS.setdefault(tuple(sorted(gaps(_chord))), []).append(_chord)
+    FIBERS.setdefault(oracle.partition(_chord), []).append(_chord)
 # half the draws are harmonic, so a dropped store meets a labelled chord often
 chords = st.one_of(st.sampled_from([*GOLDEN[3], *GOLDEN[4]]), st.sampled_from(CHORDS))
 tetrads = st.sampled_from([c for c in CHORDS if len(c) == 4])
@@ -206,8 +175,8 @@ class ChordTableCaches(RuleBasedStateMachine):
     def call_the_gap_converters(self, chord, partition_first) -> None:
         # a partition's first fill fills the composition slot too, so both orders count
         calls = [
-            (core.chord_to_composition, tuple(gaps(chord))),
-            (core.chord_to_partition, tuple(sorted(gaps(chord)))),
+            (core.chord_to_composition, oracle.gaps(chord)),
+            (core.chord_to_partition, oracle.partition(chord)),
         ]
         for convert, expected in calls[::-1] if partition_first else calls:
             assert convert(chord) == expected
@@ -260,19 +229,63 @@ class ChordTableCaches(RuleBasedStateMachine):
     def call_component_isomorphism(self, include_dd) -> None:
         graph = build_chord_graph(include_dd)
         mapping = component_isomorphism(graph)
-        assert mapping == ISOMORPHISM
+        assert mapping == oracle.COMPONENT_MAP
         mapping.clear()
-        assert component_isomorphism(graph) == ISOMORPHISM
+        assert component_isomorphism(graph) == oracle.COMPONENT_MAP
 
     @rule(include_dd=st.booleans(), export=st.sampled_from([export_dot, export_json]))
     def call_export(self, include_dd, export) -> None:
         text = export(build_chord_graph(include_dd))
         fmt = export.__name__.removeprefix("export_")
-        assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[fmt, include_dd]
+        assert hashlib.sha256(text.encode()).hexdigest() == oracle.EXPORT_SHA256[fmt, include_dd]
 
 
 TestChordTableCaches = ChordTableCaches.TestCase
 TestChordTableCaches.settings = settings(max_examples=40, stateful_step_count=20, deadline=None)
+
+
+def _rebuilt(value):
+    """An equal value whose tuples are all new objects."""
+    items = [_rebuilt(v) if isinstance(v, tuple) else v for v in value]
+    return items if isinstance(value, list) else tuple(items)
+
+
+class _RebuildingRow(list):
+    """A chord row that stores a rebuilt copy of each value given to it."""
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index, _rebuilt(value))
+
+
+class _RebuildingMemo(dict):
+    """A memo that stores a rebuilt copy of each value given to it."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, _rebuilt(value))
+
+
+@pytest.mark.parametrize(
+    "site", ["operator-slot", "composition-slot", "partition-slot", "orbit-memo", "fiber-memo"]
+)
+def test_a_fill_answers_with_what_it_stored(monkeypatch, site):
+    # each cache stores a copy of what it is given, so the first answer is the
+    # stored object, member by member, only if the fill reads it back
+    chord = core.make_chord((0, 4, 7, 10))
+    row = _RebuildingRow([chord, None, None, None, None, None])
+    monkeypatch.setitem(core.CHORD_ROWS, chord, row)
+    monkeypatch.setattr(transform, "_ORBITS", _RebuildingMemo())
+    monkeypatch.setattr(core, "_FIBERS", _RebuildingMemo())
+    # a walk fills the slots of the rows it meets, so the orbit starts from a
+    # chord whose orbit never meets the rebuilding row
+    orbit_key = (frozenset([transform._SLOT[I]]), (0, 4, 7, 11))
+    answer, stored = {
+        "operator-slot": lambda: ([dual(chord)], [row[2][0]]),
+        "composition-slot": lambda: ([core.chord_to_composition(chord)], [row[4]]),
+        "partition-slot": lambda: ([core.chord_to_partition(chord)], [row[5]]),
+        "orbit-memo": lambda: (orbit(orbit_key[1], [I]), transform._ORBITS[orbit_key]),
+        "fiber-memo": lambda: (core.chords_of_partition((2, 3, 3, 4)), core._FIBERS[2, 3, 3, 4]),
+    }[site]()
+    assert list(map(id, answer)) == list(map(id, stored))
 
 
 def test_the_stdlib_checks_pass_without_site():

@@ -16,7 +16,7 @@ from math import comb, gcd
 from chordgroups.core import enumerate_chords
 from chordgroups.transform import Operator, gap_permutation, orbit
 
-from conftest import gaps
+from oracle import gaps
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 SIZES = range(1, 13)

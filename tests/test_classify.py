@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -29,12 +28,11 @@ from chordgroups.core import (
 from chordgroups.transform import dual, invert
 from chordgroups.verify import SEVENTH_ROWS, TRIAD_ROWS
 
-from conftest import gaps
+from oracle import all_chords, gaps, partition
 
 
 def _brute_force_harmonic_triads():
-    triads = [(0, *rest) for rest in combinations(range(1, 12), 2)]
-    return [c for c in triads if min(gaps(c)) >= 3]
+    return [c for c in all_chords(3) if min(gaps(c)) >= 3]
 
 
 class TestTriadPredicate:
@@ -67,11 +65,11 @@ class TestSeventhPredicate:
         assert not is_harmonic_seventh((0, 3, 6, 11))
 
     def test_exactly_25_harmonic_tetrads(self):
-        tetrads = [(0, *rest) for rest in combinations(range(1, 12), 3)]
+        tetrads = all_chords(4)
         assert len(tetrads) == 165
         harmonic = [c for c in tetrads if is_harmonic_seventh(c)]
         assert len(harmonic) == 25
-        assert Counter(tuple(sorted(gaps(c))) for c in harmonic) == {
+        assert Counter(partition(c) for c in harmonic) == {
             (1, 3, 4, 4): 12,
             (2, 3, 3, 4): 12,
             (3, 3, 3, 3): 1,

@@ -18,13 +18,8 @@ from hypothesis import strategies as st
 from chordgroups import verify
 from chordgroups.cli import GRAMMAR, _read, build_parser, main
 
-from conftest import (
-    EXPORT_SHA256,
-    GOLDEN_HARMONIC_TETRADS,
-    GOLDEN_HARMONIC_TRIADS,
-    SRC,
-    run_python,
-)
+from conftest import GOLDEN_HARMONIC_TETRADS, GOLDEN_HARMONIC_TRIADS, SRC, run_python
+from oracle import EXPORT_SHA256, LABELS, VERIFY_RESULTS
 
 
 class TestApply:
@@ -128,6 +123,12 @@ class TestEnumerate:
         code, out, _ = invoke("enumerate", "--tones", "3", "--harmonic")
         assert (code, out) == (0, GOLDEN_HARMONIC_TRIADS)
 
+    def test_the_goldens_list_the_oracles_three_and_four_tone_labels(self):
+        lines = (GOLDEN_HARMONIC_TRIADS + GOLDEN_HARMONIC_TETRADS).splitlines()
+        listed = {tuple(map(int, text.split(","))): label for text, label in map(str.split, lines)}
+        assert len(listed) == len(lines)  # no chord listed twice
+        assert listed == {chord: label for chord, label in LABELS.items() if len(chord) in (3, 4)}
+
     def test_output_is_deterministic(self, invoke):
         first = invoke("enumerate", "--tones", "4", "--harmonic")
         second = invoke("enumerate", "--tones", "4", "--harmonic")
@@ -225,6 +226,14 @@ isomorphism: PASS
 class TestVerify:
     def test_golden(self, invoke):
         assert invoke("verify") == (0, GOLDEN_VERIFY, "")
+
+    def test_the_golden_is_the_benchmarks_expectation(self):
+        # each (name, passed, detail) as the CLI writes it: "name: [detail ]PASS"
+        lines = [
+            f"{name}: {detail + ' ' if detail else ''}{'PASS' if passed else 'FAIL'}\n"
+            for name, passed, detail in VERIFY_RESULTS
+        ]
+        assert GOLDEN_VERIFY == "".join(lines)
 
     def test_failed_and_crashed_checks_exit_one(self, invoke, monkeypatch):
         def crash():

@@ -4,11 +4,11 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import accumulate, combinations, permutations
+from itertools import permutations
 from math import comb, factorial
 
+import oracle
 import pytest
-from conftest import gaps
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,12 +38,6 @@ from chordgroups.core import (
 chord_strategy = st.sets(st.integers(min_value=1, max_value=11), max_size=11).map(
     lambda rest: (0, *sorted(rest))
 )
-
-# Every chord of each size 1..12, enumerated without the library.
-ALL_CHORDS = {
-    k: [(0, *rest) for rest in combinations(range(1, 12), k - 1)] for k in range(1, 13)
-}
-
 
 class TestMakeChord:
     def test_major_chord(self):
@@ -186,12 +180,12 @@ class TestGapMaps:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_converters_match_the_library_free_gaps_on_every_chord(self, k):
-        assert len(ALL_CHORDS[k]) == comb(11, k - 1)  # 2048 chords over the twelve sizes
-        for chord in ALL_CHORDS[k]:
+        assert len(oracle.all_chords(k)) == comb(11, k - 1)  # 2048 chords over the twelve sizes
+        for chord in oracle.all_chords(k):
             comp = chord_to_composition(chord)
             part = chord_to_partition(chord)
-            assert comp == tuple(gaps(chord)), chord
-            assert part == tuple(sorted(gaps(chord))), chord
+            assert comp == oracle.gaps(chord), chord
+            assert part == oracle.partition(chord), chord
             for value in (comp, part):
                 assert type(value) is tuple and all(type(g) is int for g in value), chord
 
@@ -278,12 +272,7 @@ class TestChordsOfPartition:
 
     def test_triad_partition_fiber_matches_brute_force(self):
         # oracle: permute the parts directly, take prefix sums, dedupe
-        expected = sorted(
-            {
-                tuple(sum(perm[:i]) for i in range(3))
-                for perm in permutations((3, 4, 5))
-            }
-        )
+        expected = sorted({oracle.chord_of(perm) for perm in permutations((3, 4, 5))})
         fiber = chords_of_partition((3, 4, 5))
         assert fiber == expected
         assert (0, 4, 7) in fiber and (0, 3, 8) in fiber
@@ -293,9 +282,7 @@ class TestChordsOfPartition:
     def test_fibers_match_brute_force(self, k):
         # oracle: every ordering of the parts, as prefix sums, deduplicated
         for partition in enumerate_partitions(k):
-            expected = sorted(
-                {tuple(accumulate(perm[:-1], initial=0)) for perm in permutations(partition)}
-            )
+            expected = sorted({oracle.chord_of(perm) for perm in permutations(partition)})
             assert chords_of_partition(partition) == expected
 
     # each returned chords before the parts were validated as make_partition does
@@ -318,7 +305,7 @@ class TestChordsOfPartition:
             for chord in fiber:
                 assert chord_to_partition(chord) == partition
             covered.extend(fiber)
-        assert sorted(covered) == [(0, *rest) for rest in combinations(range(1, 12), k - 1)]
+        assert sorted(covered) == oracle.all_chords(k)
 
     ALL_PARTITIONS = [p for k in range(1, 13) for p in enumerate_partitions(k)]
 
@@ -582,7 +569,7 @@ class TestChordRule:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_no_chord_is_rejected(self, k):
-        assert [chord for chord in ALL_CHORDS[k] if core._rejection(chord) is not None] == []
+        assert [chord for chord in oracle.all_chords(k) if core._rejection(chord) is not None] == []
 
     @given(
         st.one_of(
@@ -621,7 +608,7 @@ class TestChordStore:
         [
             make_chord,
             lambda chord: parse_chord(format_chord(chord)),
-            lambda chord: enumerate_chords(3)[ALL_CHORDS[3].index(chord)],
+            lambda chord: enumerate_chords(3)[oracle.all_chords(3).index(chord)],
         ],
         ids=["make_chord", "parse_chord", "enumerate_chords"],
     )
@@ -749,7 +736,7 @@ class TestChordStore:
             sys.setswitchinterval(interval)
         assert len(core.CHORD_ROWS) == 2048
         for k in range(1, 13):
-            assert core.CHORD_SIZES[k] == tuple(ALL_CHORDS[k])
+            assert core.CHORD_SIZES[k] == tuple(oracle.all_chords(k))
             for result in results:
                 assert all(a is b for a, b in zip(result[k], core.CHORD_SIZES[k]))
             assert all(core.CHORD_ROWS[chord][0] is chord for chord in core.CHORD_SIZES[k])

@@ -22,7 +22,7 @@ from chordgroups.graph import (
 )
 from chordgroups.transform import augdim, dual, invert
 from chordgroups.verify import SEVENTH_ROWS
-from conftest import GAP_ACTIONS, gaps
+from oracle import GAP_ACTION, chord_of, gaps
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +37,6 @@ def graph_with_dd():
 
 def _edges(graph, op):
     return [e for e in graph.edges if e.op is op]
-
-
-def _chord(gap_list):
-    """The chord rooted at 0 with these gaps, computed without the library."""
-    tones = [0]
-    for gap in gap_list[:-1]:
-        tones.append(tones[-1] + gap)
-    return tuple(tones)
 
 
 class TestBuild:
@@ -235,10 +227,10 @@ class TestEdgeOrder:
             return node_id.lower(), node_id
 
         expected = []
-        for op, action in GAP_ACTIONS.items():
+        for op in Operator:
             pairs = set()
             for node in graph.nodes:
-                pair = (node.id, id_of[_chord(action(gaps(node.chord)))])
+                pair = (node.id, id_of[chord_of(GAP_ACTION[op.value](gaps(node.chord)))])
                 pairs.add(pair if op is Operator.INVERSION else tuple(sorted(pair, key=key)))
             expected += [(source, target, op) for source, target in sorted(pairs)]
         assert [(e.source, e.target, e.op) for e in graph.edges] == expected

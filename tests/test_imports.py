@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import run_python
+from conftest import PERFBENCH, run_python
 
 # Heavy or unneeded for classify, apply, orbit, partition and enumerate.
 NOT_LOADED_BY_ONE_SHOT_COMMANDS = (
@@ -58,6 +58,14 @@ def test_commands_load_only_what_they_use(argv, first_line, watched, loaded):
     )
     child = run_python("-S", "-X", "dev", "-W", "error", "-c", code)
     assert child.stdout == f"{first_line}\n{sorted(loaded)}\n"
+
+
+def test_the_oracle_shares_no_code_with_the_library():
+    # tier-1 checks the library against perfbench/oracle.py, so the oracle
+    # may import no chordgroups module, though the package is on the path
+    code = f"import sys; sys.path.append({PERFBENCH!r}); import oracle; print(*sys.modules)"
+    modules = run_python("-S", "-X", "dev", "-W", "error", "-c", code).stdout.split()
+    assert "oracle" in modules and not [m for m in modules if m.split(".")[0] == "chordgroups"]
 
 
 def test_graph_names_load_on_first_use_without_json():

@@ -33,7 +33,8 @@ from chordgroups.transform import (
     parse_generators,
 )
 
-from conftest import TONE_FORMULAS as ORACLES, gaps
+from conftest import TONE_FORMULAS as ORACLES
+from oracle import gaps
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 
@@ -163,7 +164,8 @@ class TestGapActions:
             for op in _operators_on(chord):
                 image = SINGLE[op](chord)
                 assert image == ORACLES[op](chord)
-                assert gaps(image) == [gaps(chord)[p] for p in gap_permutation(op, len(chord))]
+                permuted = tuple(gaps(chord)[p] for p in gap_permutation(op, len(chord)))
+                assert gaps(image) == permuted
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_gap_permutations_permute_the_positions(self, k):
@@ -200,7 +202,7 @@ class TestGapActions:
 
     def test_gap_actions_generate_every_ordering(self):
         members = orbit((0, 1, 3, 7), [I, D, A])
-        assert sorted(tuple(gaps(c)) for c in members) == sorted(permutations((1, 2, 4, 5)))
+        assert sorted(gaps(c) for c in members) == sorted(permutations((1, 2, 4, 5)))
 
 
 class TestSingleOperators:
