@@ -22,14 +22,18 @@ probe; ``CHORD_SIZES`` lists each built size's chords for
 rule, a pure function of the value: a miss raises its error, or, for a
 chord, builds the chord's size and probes again.  ``chord_row`` is the one
 chord validation: ``make_chord``, the operators and ``classify`` all go
-through it.  ``parse_chord`` looks its ``int()`` tones up in the store
-itself, since they need no int check.  ``format_chord`` and
+through it.  A row is ``[chord, i, d, a, composition, partition, text]``.
+``parse_chord`` looks a chord's canonical text up in ``_CHORD_TEXTS``
+first, then in the store, and any other text's ``int()`` tones in the
+store itself, since they need no int check.  ``format_chord`` and
 ``format_parts`` validate too, and so do ``chord_to_composition`` and
-``chord_to_partition``, whose answers are slots of the chord's row.
+``chord_to_partition``; the answers of these three are slots of the
+chord's row.
 
 Everything the library fills on first use is a cache: the chord store
-(``CHORD_ROWS`` and ``CHORD_SIZES``), the operator, composition and
-partition slots of its rows, ``_FIBERS`` (each partition's chords),
+(``CHORD_ROWS`` and ``CHORD_SIZES``), the operator, composition,
+partition and text slots of its rows, ``_CHORD_TEXTS`` (each parsed
+chord's canonical text), ``_FIBERS`` (each partition's chords),
 ``transform._ORBITS``, ``gap_permutation``'s ``functools.cache`` and each
 ``ChordGraph``'s ``_memo``, which holds the graph's components,
 isomorphism and DOT and JSON texts once a graph function has derived
@@ -42,6 +46,8 @@ the store, and a graph whose isomorphism fails raises on every call.
 Identity does not survive a drop: after the chord store is dropped, the
 label tables' keys are ``make_chord``'s own tuples again only in a fresh
 process, and a fiber's members only once ``_FIBERS`` is dropped too.
+``parse_chord`` probes the store on every memo hit, so its answer is the
+store's own tuple throughout.
 ``classify._LABELS``, ``graph._PARTNER`` and the two graphs in
 ``graph._GRAPHS``, with their node and edge Records, are built at import,
 never written afterwards (but for the graphs' memos) and shared by every
@@ -145,14 +151,18 @@ def _require_ints(values: tuple, error: type[ValueError], what: str) -> None:
 # The chord store, built a size at a time on first use so that a caller pays
 # only for the sizes it uses: CHORD_ROWS maps each chord of every built size
 # to its row, and CHORD_SIZES each built size to its chords in order, as the
-# rows' own tuples.  A row is [chord, i, d, a, composition, partition], and
-# each chord tuple exists once.  ``transform`` fills each operator's slot on
-# first use with the row of the chord's image, so a walk from row to row
-# hashes nothing; chord_to_composition and chord_to_partition fill the last
-# two on first use.  A size is built only by _build_size, for a chord that
-# missed or for enumerate_chords; every lookup reads CHORD_ROWS alone.
+# rows' own tuples.  A row is [chord, i, d, a, composition, partition, text],
+# and each chord tuple exists once.  ``transform`` fills each operator's slot
+# on first use with the row of the chord's image, so a walk from row to row
+# hashes nothing; chord_to_composition and chord_to_partition fill the
+# composition and partition slots on first use, and _fill_text the text
+# slot.  A size is built only by _build_size, for a chord that missed or for
+# enumerate_chords; every lookup reads CHORD_ROWS alone.
 CHORD_ROWS: dict[Chord, list] = {}
 CHORD_SIZES: dict[int, tuple[Chord, ...]] = {}
+# a chord's canonical text (its text slot) -> the store's tuple; filled by
+# parse_chord, so it holds valid chords alone, at most 2048 of them
+_CHORD_TEXTS: dict[str, Chord] = {}
 
 
 def _build_size(k: int) -> tuple[Chord, ...]:
@@ -160,7 +170,10 @@ def _build_size(k: int) -> tuple[Chord, ...]:
     chords = map((0,).__add__, combinations(range(1, OCTAVE), k - 1))
     # setdefault keeps one row per chord when two threads build k at once,
     # and the size goes in only once its rows are all there
-    rows = [CHORD_ROWS.setdefault(chord, [chord, None, None, None, None, None]) for chord in chords]
+    rows = [
+        CHORD_ROWS.setdefault(chord, [chord, None, None, None, None, None, None])
+        for chord in chords
+    ]
     return CHORD_SIZES.setdefault(k, tuple([row[0] for row in rows]))
 
 
@@ -426,11 +439,21 @@ def parse_chord(text: str) -> Chord:
     Returns the chord store's own tuple, and rejects text that is not a
     chord with ``make_chord``'s subclass and message.
 
-    The tones are looked up in the chord store directly, not through
-    :func:`chord_row`: ``int()`` on text always returns an exact ``int``,
-    so a store hit cannot be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that
-    ``chord_row``'s int pass is there to catch.
+    A chord's canonical text, the bare comma form of :func:`format_chord`,
+    is one probe of ``_CHORD_TEXTS`` and one of the store: an exact ``str``
+    is looked up there first.  Any other text is parsed, and its tones are
+    looked up in the chord store directly, not through :func:`chord_row`:
+    ``int()`` on text always returns an exact ``int``, so a store hit cannot
+    be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that ``chord_row``'s int
+    pass is there to catch.  The chord's text slot then goes into the memo,
+    never the text given, so ``" 0,4,7"`` or ``"00,04,07"`` stores
+    ``"0,4,7"``, and a text that is rejected stores nothing.  The memo holds
+    at most 2048 entries, and only once every chord has been parsed: about
+    175 kB by ``tracemalloc``, the text slots included.
     """
+    chord = _CHORD_TEXTS.get(text) if type(text) is str else None
+    if chord is not None:
+        return (CHORD_ROWS.get(chord) or _missing_row(chord))[0]
     try:
         body = text.strip()
         if body.startswith("(") and body.endswith(")"):
@@ -449,15 +472,27 @@ def parse_chord(text: str) -> Chord:
         raise InvalidChordError(f"cannot parse chord text {text!r}") from None
     if "-0" in body and any(t == 0 and "-" in s for s, t in zip(body.split(","), tones)):
         raise InvalidChordError(f"cannot parse chord text {text!r}")  # a signed zero
-    return (CHORD_ROWS.get(tones) or _missing_row(tones))[0]
+    row = CHORD_ROWS.get(tones) or _missing_row(tones)
+    canonical = row[6] or _fill_text(row)
+    # stored, then read back from the memo
+    _CHORD_TEXTS[canonical] = row[0]
+    return _CHORD_TEXTS[canonical]
 
 
 def format_chord(chord: Chord) -> str:
     """Render a chord in the bare comma form, e.g. ``"0,4,7"``.
 
-    Anything else raises :func:`chord_row`'s InvalidChordError.
+    The answer is the row's text slot, filled on first use.  Anything else
+    raises :func:`chord_row`'s InvalidChordError.
     """
-    return ",".join(map(str, chord_row(chord)[0]))
+    row = chord_row(chord)
+    return row[6] or _fill_text(row)
+
+
+def _fill_text(row: list) -> str:
+    # the one place the bare comma form is written
+    row[6] = ",".join(map(str, row[0]))
+    return row[6]
 
 
 def format_parts(parts: Iterable[int]) -> str:

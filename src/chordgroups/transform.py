@@ -11,14 +11,14 @@ is the one definition of all three:
 
 The operators permute a finite set, 2048 chords in all, so each action is
 one step in ``core``'s chord store, one dict ``CHORD_ROWS`` that maps each
-chord to its row ``[chord, i, d, a, composition, partition]`` (the last
-two answer ``core``'s converters).  ``core.chord_row`` finds a chord's row
-in one probe and raises InvalidChordError for anything that is not a
-chord.  An operator's slot is filled on first use, from
-``_permute(chord, gap_permutation(op, k))``, with the row of the image,
-looked up in the same store, whose first item is the store's own tuple
-for it.  ``invert``, ``dual`` and ``augdim`` are one probe and one slot
-read.
+chord to its row ``[chord, i, d, a, composition, partition, text]`` (the
+last three answer ``core``'s converters and ``format_chord``).
+``core.chord_row`` finds a chord's row in one probe and raises
+InvalidChordError for anything that is not a chord.  An operator's slot
+is filled on first use, from ``_permute(chord, gap_permutation(op, k))``,
+with the row of the image, looked up in the same store, whose first item
+is the store's own tuple for it.  ``invert``, ``dual`` and ``augdim`` are
+one probe and one slot read.
 ``apply_word`` walks the slots letter by letter, left to right (pipeline
 order, the convention used throughout the CLI).  ``_walk`` is the one
 breadth-first closure over a set of slots: ``orbit`` sorts its chords, and
@@ -84,7 +84,7 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
     return tuple(image)
 
 
-# A chord's row is [chord, i, d, a, composition, partition]: slot
+# A chord's row is [chord, i, d, a, composition, partition, text]: slot
 # n = 1..3 holds the row of the image under _OPERATORS[n], once filled.
 _OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
 _SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}

@@ -1,18 +1,19 @@
 """The lazily filled state is a cache: dropping it at any time changes no answer.
 
 A hypothesis state machine calls the operators, ``apply_word``, ``orbit``,
-the two gap converters, ``chords_of_partition``, ``classify``,
-``seventh_table``, ``build_chord_graph`` and the four graph functions
-(components, isomorphism, DOT and JSON export) in any order, and between
-calls drops the chord store (its rows and its size index), the operator
-slots or the composition and partition slots of its rows, the fiber memo,
-the orbit memo, the gap-permutation cache or the two shared graphs' memos.
-Every answer is checked against ``conftest``'s tone formulas and
-``oracle``'s gaps, gap actions, chord lists, labels, component map and
-export digests, none of which shares code with the library.  A returned
-list or dict is changed after its check, and the rule asks the same
-question again at once, so an answer that reflects the change fails within
-the rule that made it.
+the two gap converters, ``parse_chord`` and ``format_chord``,
+``chords_of_partition``, ``classify``, ``seventh_table``,
+``build_chord_graph`` and the four graph functions (components,
+isomorphism, DOT and JSON export) in any order, and between calls drops
+the chord store (its rows and its size index), the operator slots, the
+composition and partition slots or the text slots of its rows, the text
+memo, the fiber memo, the orbit memo, the gap-permutation cache or the two
+shared graphs' memos.  Every answer is checked against ``conftest``'s tone
+formulas and ``oracle``'s gaps, gap actions, chord lists, texts, labels,
+component map and export digests, none of which shares code with the
+library.  A returned list or dict is changed after its check, and the rule
+asks the same question again at once, so an answer that reflects the
+change fails within the rule that made it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule
 
 from chordgroups import core, transform
 from chordgroups import graph as graph_module
@@ -48,7 +49,7 @@ I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
 GOLDEN = {k: {c: label for c, label in oracle.LABELS.items() if len(c) == k} for k in (3, 4)}
 
 # the seventh families in the paper's order; a label is its family, then its inversion
-FAMILIES = ["MM", "mM", "AM", "Mm", "dm", "mm", "dd"]
+FAMILIES = list(oracle.SEVENTH_ROWS)
 
 
 def _components(include_dd: bool) -> list:
@@ -89,6 +90,7 @@ class ChordTableCaches(RuleBasedStateMachine):
         self.sizes = dict(core.CHORD_SIZES)
         self.orbits = dict(transform._ORBITS)
         self.fibers = dict(core._FIBERS)
+        self.texts = dict(core._CHORD_TEXTS)
 
     def teardown(self) -> None:
         # other tests hold the store's own tuples and compare them by identity
@@ -100,6 +102,8 @@ class ChordTableCaches(RuleBasedStateMachine):
         transform._ORBITS.update(self.orbits)
         core._FIBERS.clear()
         core._FIBERS.update(self.fibers)
+        core._CHORD_TEXTS.clear()
+        core._CHORD_TEXTS.update(self.texts)
 
     @rule()
     def drop_the_chord_store(self) -> None:
@@ -115,6 +119,15 @@ class ChordTableCaches(RuleBasedStateMachine):
     def drop_the_gap_slots(self) -> None:
         for row in core.CHORD_ROWS.values():
             row[4:6] = [None, None]  # the composition and partition slots
+
+    @rule()
+    def drop_the_text_slots(self) -> None:
+        for row in core.CHORD_ROWS.values():
+            row[6] = None
+
+    @rule()
+    def drop_the_text_memo(self) -> None:
+        core._CHORD_TEXTS.clear()
 
     @rule()
     def drop_the_fiber_memo(self) -> None:
@@ -181,6 +194,21 @@ class ChordTableCaches(RuleBasedStateMachine):
         for convert, expected in calls[::-1] if partition_first else calls:
             assert convert(chord) == expected
 
+    parsed = Bundle("parsed")
+
+    # a chord parsed before is drawn again often, so a memo hit meets the drops
+    @rule(target=parsed, chord=st.one_of(chords, parsed))
+    def call_parse_chord(self, chord) -> tuple:
+        text = oracle.text(chord)
+        # the canonical text first: it is the one a memo hit answers
+        for given in (text, f"({text})", f" {text.replace(',', ' , ')} "):
+            # the store's own tuple, even when the memo holds a dropped store's
+            answer = core.parse_chord(given)
+            assert answer == chord and answer is core.CHORD_ROWS[chord][0]
+            assert core._CHORD_TEXTS[text] == chord
+        assert core.format_chord(chord) == text
+        return chord
+
     @rule(partition=partitions, reverse=st.booleans())
     def call_chords_of_partition(self, partition, reverse) -> None:
         # the parts in descending order too: both orders name one fiber
@@ -245,7 +273,9 @@ TestChordTableCaches.settings = settings(max_examples=40, stateful_step_count=20
 
 
 def _rebuilt(value):
-    """An equal value whose tuples are all new objects."""
+    """An equal value whose tuples and strs are all new objects."""
+    if isinstance(value, str):
+        return value.encode().decode()
     items = [_rebuilt(v) if isinstance(v, tuple) else v for v in value]
     return items if isinstance(value, list) else tuple(items)
 
@@ -265,16 +295,26 @@ class _RebuildingMemo(dict):
 
 
 @pytest.mark.parametrize(
-    "site", ["operator-slot", "composition-slot", "partition-slot", "orbit-memo", "fiber-memo"]
+    "site",
+    [
+        "operator-slot",
+        "composition-slot",
+        "partition-slot",
+        "text-slot",
+        "orbit-memo",
+        "fiber-memo",
+        "text-memo",
+    ],
 )
 def test_a_fill_answers_with_what_it_stored(monkeypatch, site):
     # each cache stores a copy of what it is given, so the first answer is the
     # stored object, member by member, only if the fill reads it back
     chord = core.make_chord((0, 4, 7, 10))
-    row = _RebuildingRow([chord, None, None, None, None, None])
+    row = _RebuildingRow([chord, None, None, None, None, None, None])
     monkeypatch.setitem(core.CHORD_ROWS, chord, row)
     monkeypatch.setattr(transform, "_ORBITS", _RebuildingMemo())
     monkeypatch.setattr(core, "_FIBERS", _RebuildingMemo())
+    monkeypatch.setattr(core, "_CHORD_TEXTS", _RebuildingMemo())
     # a walk fills the slots of the rows it meets, so the orbit starts from a
     # chord whose orbit never meets the rebuilding row
     orbit_key = (frozenset([transform._SLOT[I]]), (0, 4, 7, 11))
@@ -282,8 +322,10 @@ def test_a_fill_answers_with_what_it_stored(monkeypatch, site):
         "operator-slot": lambda: ([dual(chord)], [row[2][0]]),
         "composition-slot": lambda: ([core.chord_to_composition(chord)], [row[4]]),
         "partition-slot": lambda: ([core.chord_to_partition(chord)], [row[5]]),
+        "text-slot": lambda: ([core.format_chord(chord)], [row[6]]),
         "orbit-memo": lambda: (orbit(orbit_key[1], [I]), transform._ORBITS[orbit_key]),
         "fiber-memo": lambda: (core.chords_of_partition((2, 3, 3, 4)), core._FIBERS[2, 3, 3, 4]),
+        "text-memo": lambda: ([core.parse_chord(" 0,4,7,10 ")], [core._CHORD_TEXTS["0,4,7,10"]]),
     }[site]()
     assert list(map(id, answer)) == list(map(id, stored))
 

@@ -539,6 +539,30 @@ _ANY_TONE = st.one_of(
 )
 
 
+class _Text(str):
+    """A str subclass: parsed as text, but never a text memo key."""
+
+
+# texts that are rejected or not canonical, then every chord's canonical text
+_LISTED_TEXTS = [
+    *["0,7,4", "0,4,12", "0,04,7", "-0,4,7", " 0,4,7", "(0,4,7)", _Text("0,4,7")],
+    *[oracle.text(chord) for k in range(1, 13) for chord in oracle.all_chords(k)],
+]
+
+
+_TEXTS = st.lists(
+    st.one_of(st.text(), st.text(alphabet="0123456789,()+-_ \u0664\t")), min_size=1, max_size=3
+)
+
+
+def _parse_outcome(text):
+    """parse_chord's chord, or its error's class and message."""
+    try:
+        return parse_chord(text)
+    except InvalidChordError as error:
+        return type(error), str(error)
+
+
 class TestValidationBoundary:
     @pytest.mark.parametrize(
         "tones", [[0, 4.5, 7], [0, 3.0, 7], [False, 4, 7], [0, True, 7], [0, "4", 7], [0, None]]
@@ -555,13 +579,26 @@ class TestValidationBoundary:
             return
         assert _is_valid_chord(chord)
 
-    @given(st.one_of(st.text(), st.text(alphabet="0123456789,()+-_ \u0664\t")))
-    def test_parse_chord_on_arbitrary_text(self, text):
-        try:
-            chord = parse_chord(text)
-        except InvalidChordError:
-            return
-        assert _is_valid_chord(chord)
+    @pytest.mark.parametrize(
+        "listed", [False, True], ids=["drawn", "rejected-non-canonical-and-every-chord"]
+    )
+    @given(data=st.data())
+    def test_parse_chord_on_arbitrary_text(self, listed, data):
+        # a listed run draws nothing, so hypothesis runs it once
+        texts = _LISTED_TEXTS if listed else data.draw(_TEXTS)
+        for text in texts:
+            # the second parse may be a text memo hit: it answers as the first did
+            first, again = _parse_outcome(text), _parse_outcome(text)
+            assert again == first
+            if type(first[0]) is int:  # a chord, not an error's class and message
+                assert _is_valid_chord(first) and again is first
+        # only the canonical texts of valid chords go in, as exact strs, each
+        # mapped to the store's own tuple: at most one entry per chord
+        for key, chord in core._CHORD_TEXTS.items():
+            assert type(key) is str and key == format_chord(chord) == oracle.text(chord)
+            assert chord is core.CHORD_ROWS[chord][0]
+        if listed:
+            assert len(core._CHORD_TEXTS) == 2048
 
 
 class TestChordRule:
@@ -592,11 +629,13 @@ class TestChordStore:
 
     @pytest.fixture(autouse=True)
     def restored_store(self):
-        rows, sizes = dict(core.CHORD_ROWS), dict(core.CHORD_SIZES)
+        # the text memo too: a parse after a drop stores the new store's tuples
+        caches = (core.CHORD_ROWS, core.CHORD_SIZES, core._CHORD_TEXTS)
+        saved = [(cache, dict(cache)) for cache in caches]
         yield
-        for store, saved in ((core.CHORD_ROWS, rows), (core.CHORD_SIZES, sizes)):
-            store.clear()
-            store.update(saved)
+        for cache, contents in saved:
+            cache.clear()
+            cache.update(contents)
 
     @staticmethod
     def drop_the_store():
@@ -623,7 +662,7 @@ class TestChordStore:
 
     def test_an_operator_fill_after_a_drop_finds_the_new_row(self):
         # a row outside the store, so that no row the store gets back is changed
-        row = [make_chord((0, 4, 7)), None, None, None, None, None]
+        row = [make_chord((0, 4, 7)), None, None, None, None, None, None]
         self.drop_the_store()
         assert transform._fill(row, 1) is core.CHORD_ROWS[0, 3, 8]
         assert list(core.CHORD_SIZES) == [3]
@@ -716,6 +755,33 @@ class TestChordStore:
             core.chord_row(value)
         assert str(excinfo.value) == str(core._rejection(value))
         assert core.CHORD_SIZES == sizes
+
+    def test_threads_sharing_the_text_memo_get_the_stores_tuples(self):
+        core._CHORD_TEXTS.clear()
+        chords = [chord for k in range(1, 13) for chord in enumerate_chords(k)]
+        # each chord's canonical text and a padded one, which stores it too
+        texts = [
+            (form.format(oracle.text(chord)), chord) for chord in chords for form in ("{}", " {}")
+        ]
+        start = threading.Barrier(4)
+
+        def parse(offset):
+            start.wait(timeout=60)
+            # each thread starts at a different chord, so their stores overlap
+            order = texts[offset:] + texts[:offset]
+            return [(parse_chord(text), chord) for text, chord in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(parse, [0, 1024, 2048, 3072], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert all(parsed is chord for parsed, chord in result)
+        assert len(core._CHORD_TEXTS) == 2048
+        assert all(core._CHORD_TEXTS[oracle.text(chord)] is chord for chord in chords)
 
     def test_threads_building_one_size_keep_one_row_per_chord(self):
         self.drop_the_store()

@@ -22,6 +22,7 @@ from chordgroups.graph import (
 )
 from chordgroups.transform import augdim, dual, invert
 from chordgroups.verify import SEVENTH_ROWS
+import oracle
 from oracle import GAP_ACTION, chord_of, gaps
 
 
@@ -33,6 +34,16 @@ def graph():
 @pytest.fixture(scope="module")
 def graph_with_dd():
     return build_chord_graph(include_dd=True)
+
+
+def _in_family_order(components):
+    """Each component's ids by family, in the paper's order, then by inversion."""
+    families = list(oracle.SEVENTH_ROWS)
+
+    def rank(label):
+        return families.index(label[:2]), int(label[2:])
+
+    return [sorted(ids, key=rank) for ids in components]
 
 
 def _edges(graph, op):
@@ -259,16 +270,8 @@ class TestComponents:
 
     def test_upper_component_families(self, graph):
         upper, lower = connected_components(graph)
-        assert {n.label.family for n in upper} == {
-            SeventhFamily.MM,
-            SeventhFamily.mM,
-            SeventhFamily.AM,
-        }
-        assert {n.label.family for n in lower} == {
-            SeventhFamily.Mm,
-            SeventhFamily.dm,
-            SeventhFamily.mm,
-        }
+        assert {n.label.family for n in upper} == set(map(SeventhFamily, oracle.UPPER_FAMILIES))
+        assert {n.label.family for n in lower} == set(map(SeventhFamily, oracle.LOWER_FAMILIES))
 
     def test_components_split_by_partition_class(self, graph):
         from chordgroups.core import chord_to_partition
@@ -280,10 +283,8 @@ class TestComponents:
     @pytest.mark.parametrize("node_order", [1, -1], ids=["built", "reversed"])
     def test_members_come_in_family_then_inversion_order(self, graph_with_dd, node_order):
         shuffled = ChordGraph(graph_with_dd.nodes[::node_order], graph_with_dd.edges)
-        upper, lower, dd = connected_components(shuffled)
-        assert [n.id for n in upper] == [f"{f}{n}" for f in ("MM", "mM", "AM") for n in range(4)]
-        assert [n.id for n in lower] == [f"{f}{n}" for f in ("Mm", "dm", "mm") for n in range(4)]
-        assert [n.id for n in dd] == ["dd0"]
+        components = connected_components(shuffled)
+        assert [[n.id for n in c] for c in components] == _in_family_order(oracle.components(True))
 
     # mm0 and MM0 are the source of the first edge to reach them, dm3 its target
     @pytest.mark.parametrize("dropped", ["mm0", "MM0", "dm3"])
