@@ -40,9 +40,11 @@ isomorphism and DOT and JSON texts once a graph function has derived
 them.  A fill answers with what it stored, read back from the cache, so a
 wrong stored value shows in the first answer, not only in a later one.
 Dropping any of them at any time, even ``CHORD_ROWS`` without
-``CHORD_SIZES``, changes no public answer, compared by equality.  A call
-that raises stores nothing: a value that is not a chord builds no size of
-the store, and a graph whose isomorphism fails raises on every call.
+``CHORD_SIZES``, changes no public answer, compared by equality.  A value
+that is not a chord builds nothing, but a chord's size is built on first
+use even when the call then raises: ``augdim((0, 1, 2, 3, 4))`` builds
+size 5, then raises ``WrongArityError``.  A graph whose isomorphism fails
+raises on every call.
 Identity does not survive a drop: after the chord store is dropped, the
 label tables' keys are ``make_chord``'s own tuples again only in a fresh
 process, and a fiber's members only once ``_FIBERS`` is dropped too.
@@ -451,17 +453,15 @@ def parse_chord(text: str) -> Chord:
     at most 2048 entries, and only once every chord has been parsed: about
     175 kB by ``tracemalloc``, the text slots included.
     """
-    chord = _CHORD_TEXTS.get(text) if type(text) is str else None
-    if chord is not None:
-        return (CHORD_ROWS.get(chord) or _missing_row(chord))[0]
-    try:
-        body = text.strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-    except (AttributeError, TypeError):  # not text: 5, None, b"0,4,7", (0, 4, 7)
-        raise _rejection(text) or InvalidChordError(
-            f"chord text must be a str, got {text!r}"
-        ) from None
+    if type(text) is str:
+        chord = _CHORD_TEXTS.get(text)
+        if chord is not None:
+            return (CHORD_ROWS.get(chord) or _missing_row(chord))[0]
+    elif not isinstance(text, str):  # 5, None, b"0,4,7", (0, 7, 4), [0, 4, 7]
+        raise InvalidChordError(f"chord text must be a str, got {text!r}")
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
     if not body.strip():
         raise EmptyChordError("empty chord text")
     if not body.isascii() or "_" in body or "+" in body:

@@ -3,11 +3,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from chordgroups import core, transform
 from chordgroups.cli import main
 from chordgroups.transform import Operator
 
@@ -51,6 +54,52 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
     assert result.returncode == 0, result.stderr
     return result
+
+
+def snapshot_caches() -> list:
+    """The dicts the library fills on first use, each with a copy of its contents."""
+    caches = core.CHORD_ROWS, core.CHORD_SIZES, core._CHORD_TEXTS, core._FIBERS, transform._ORBITS
+    return [(cache, dict(cache)) for cache in caches]
+
+
+def restore_caches(snapshot: list) -> None:
+    # other tests hold the store's own tuples and compare them by identity
+    for cache, contents in snapshot:
+        cache.clear()
+        cache.update(contents)
+
+
+@pytest.fixture
+def restored_caches():
+    snapshot = snapshot_caches()
+    yield
+    restore_caches(snapshot)
+
+
+def drop_the_chord_store() -> None:
+    core.CHORD_ROWS.clear()
+    core.CHORD_SIZES.clear()
+
+
+def race(work, offsets) -> list:
+    """``work(offset)`` in one thread per offset, all started at once; the results in order.
+
+    A 1 µs switch interval puts a thread switch between almost any two
+    bytecodes, so the threads' fills of a shared cache overlap.
+    """
+    start = threading.Barrier(len(offsets))
+
+    def run(offset):
+        start.wait(timeout=60)
+        return work(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(offsets)) as pool:
+            return list(pool.map(run, offsets, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # The tone-level oracle: each operator's tone formula from the README's

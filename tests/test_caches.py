@@ -13,7 +13,9 @@ formulas and ``oracle``'s gaps, gap actions, chord lists, texts, labels,
 component map and export digests, none of which shares code with the
 library.  A returned list or dict is changed after its check, and the rule
 asks the same question again at once, so an answer that reflects the
-change fails within the rule that made it.
+change fails within the rule that made it.  One rule parses a chord, drops
+the store and parses the chord again, so a text memo hit must answer with
+the new store's tuple.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from chordgroups.graph import (
 )
 from chordgroups.transform import Operator, apply_word, augdim, dual, invert, orbit
 
-from conftest import TONE_FORMULAS, run_python
+from conftest import (
+    TONE_FORMULAS, drop_the_chord_store, restore_caches, run_python, snapshot_caches
+)
 import oracle
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
@@ -84,31 +88,17 @@ partitions = st.one_of(st.sampled_from(HARMONIC_PARTITIONS), st.sampled_from(sor
 
 
 class ChordTableCaches(RuleBasedStateMachine):
+    # a state machine takes no fixtures, so it snapshots and restores itself
     def __init__(self) -> None:
         super().__init__()
-        self.rows = dict(core.CHORD_ROWS)
-        self.sizes = dict(core.CHORD_SIZES)
-        self.orbits = dict(transform._ORBITS)
-        self.fibers = dict(core._FIBERS)
-        self.texts = dict(core._CHORD_TEXTS)
+        self.caches = snapshot_caches()
 
     def teardown(self) -> None:
-        # other tests hold the store's own tuples and compare them by identity
-        core.CHORD_ROWS.clear()
-        core.CHORD_ROWS.update(self.rows)
-        core.CHORD_SIZES.clear()
-        core.CHORD_SIZES.update(self.sizes)
-        transform._ORBITS.clear()
-        transform._ORBITS.update(self.orbits)
-        core._FIBERS.clear()
-        core._FIBERS.update(self.fibers)
-        core._CHORD_TEXTS.clear()
-        core._CHORD_TEXTS.update(self.texts)
+        restore_caches(self.caches)
 
     @rule()
     def drop_the_chord_store(self) -> None:
-        core.CHORD_ROWS.clear()
-        core.CHORD_SIZES.clear()
+        drop_the_chord_store()
 
     @rule()
     def drop_the_operator_slots(self) -> None:
@@ -208,6 +198,14 @@ class ChordTableCaches(RuleBasedStateMachine):
             assert core._CHORD_TEXTS[text] == chord
         assert core.format_chord(chord) == text
         return chord
+
+    @rule(chord=chords)
+    def parse_across_a_store_drop(self, chord) -> None:
+        text = oracle.text(chord)
+        core.parse_chord(text)
+        drop_the_chord_store()
+        # a text memo hit, whose tuple the dropped store held
+        assert core.parse_chord(text) is core.CHORD_ROWS[chord][0]
 
     @rule(partition=partitions, reverse=st.booleans())
     def call_chords_of_partition(self, partition, reverse) -> None:

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import sys
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from math import comb, factorial
 
@@ -34,6 +31,8 @@ from chordgroups.core import (
     normalize_chord,
     parse_chord,
 )
+
+from conftest import drop_the_chord_store, race
 
 chord_strategy = st.sets(st.integers(min_value=1, max_value=11), max_size=11).map(
     lambda rest: (0, *sorted(rest))
@@ -347,21 +346,13 @@ class TestChordsOfPartition:
         partitions = self.ALL_PARTITIONS
         expected = [chords_of_partition(p) for p in partitions]
         fibers.clear()
-        start = threading.Barrier(4)
 
         def fill(offset):
-            start.wait(timeout=60)
             # each thread starts at a different partition, so their fills overlap
             order = partitions[offset:] + partitions[:offset]
             return {p: chords_of_partition(p) for p in order}
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(fill, [0, 19, 38, 57], timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
+        results = race(fill, [0, 19, 38, 57])
         for result in results:
             assert [result[p] for p in partitions] == expected
         assert len(fibers) == len(partitions)
@@ -445,11 +436,13 @@ class TestTextForms:
             ("1,4,8", FirstToneNotZeroError, "a chord starts at 0, got 1"),
             ("0,7,4", NotStrictlyIncreasingError, "tones must strictly increase: (0, 7, 4)"),
             ("0,4,4,7", NotStrictlyIncreasingError, "tones must strictly increase: (0, 4, 4, 7)"),
-            (5, InvalidChordError, "a chord is a tuple of ints, got 5"),
-            (None, InvalidChordError, "a chord is a tuple of ints, got None"),
-            (b"0,4,7", InvalidChordError, "a chord is a tuple of ints, got b'0,4,7'"),
-            # a chord, but not text: plain InvalidChordError, not a chord rule's subclass
+            # not text, whatever its value: plain InvalidChordError, never a chord rule's subclass
+            (5, InvalidChordError, "chord text must be a str, got 5"),
+            (None, InvalidChordError, "chord text must be a str, got None"),
+            (b"0,4,7", InvalidChordError, "chord text must be a str, got b'0,4,7'"),
             ((0, 4, 7), InvalidChordError, "chord text must be a str, got (0, 4, 7)"),
+            ((0, 7, 4), InvalidChordError, "chord text must be a str, got (0, 7, 4)"),
+            ([0, 4, 7], InvalidChordError, "chord text must be a str, got [0, 4, 7]"),
         ],
         ids=repr,
     )
@@ -620,27 +613,13 @@ class TestChordRule:
         assert error is None or isinstance(error, InvalidChordError)
 
 
+@pytest.mark.usefixtures("restored_caches")
 class TestChordStore:
     """The store's slow path: a miss rejects what is not a chord, or builds the chord's size.
 
     Each test puts the store back as it found it, since other tests hold
     the store's own tuples and compare them by identity.
     """
-
-    @pytest.fixture(autouse=True)
-    def restored_store(self):
-        # the text memo too: a parse after a drop stores the new store's tuples
-        caches = (core.CHORD_ROWS, core.CHORD_SIZES, core._CHORD_TEXTS)
-        saved = [(cache, dict(cache)) for cache in caches]
-        yield
-        for cache, contents in saved:
-            cache.clear()
-            cache.update(contents)
-
-    @staticmethod
-    def drop_the_store():
-        core.CHORD_ROWS.clear()
-        core.CHORD_SIZES.clear()
 
     @pytest.mark.parametrize(
         "find",
@@ -653,7 +632,7 @@ class TestChordStore:
     )
     def test_a_dropped_size_is_found_again_as_the_new_store_tuple(self, find):
         held = make_chord((0, 4, 7))
-        self.drop_the_store()
+        drop_the_chord_store()
         found = find((0, 4, 7))
         assert found == held and found is not held
         assert list(core.CHORD_SIZES) == [3]
@@ -663,7 +642,7 @@ class TestChordStore:
     def test_an_operator_fill_after_a_drop_finds_the_new_row(self):
         # a row outside the store, so that no row the store gets back is changed
         row = [make_chord((0, 4, 7)), None, None, None, None, None, None]
-        self.drop_the_store()
+        drop_the_chord_store()
         assert transform._fill(row, 1) is core.CHORD_ROWS[0, 3, 8]
         assert list(core.CHORD_SIZES) == [3]
 
@@ -763,43 +742,27 @@ class TestChordStore:
         texts = [
             (form.format(oracle.text(chord)), chord) for chord in chords for form in ("{}", " {}")
         ]
-        start = threading.Barrier(4)
 
         def parse(offset):
-            start.wait(timeout=60)
             # each thread starts at a different chord, so their stores overlap
             order = texts[offset:] + texts[:offset]
             return [(parse_chord(text), chord) for text, chord in order]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(parse, [0, 1024, 2048, 3072], timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
+        results = race(parse, [0, 1024, 2048, 3072])
         for result in results:
             assert all(parsed is chord for parsed, chord in result)
         assert len(core._CHORD_TEXTS) == 2048
         assert all(core._CHORD_TEXTS[oracle.text(chord)] is chord for chord in chords)
 
     def test_threads_building_one_size_keep_one_row_per_chord(self):
-        self.drop_the_store()
-        start = threading.Barrier(4)
+        drop_the_chord_store()
 
         def build(offset):
-            start.wait(timeout=60)
             # each thread starts at a different size, so their builds overlap
             sizes = [*range(1, 13)][offset:] + [*range(1, 13)][:offset]
             return {k: enumerate_chords(k) for k in sizes}
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # a thread switch between almost any two bytecodes
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(build, [0, 3, 6, 9], timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
+        results = race(build, [0, 3, 6, 9])
         assert len(core.CHORD_ROWS) == 2048
         for k in range(1, 13):
             assert core.CHORD_SIZES[k] == tuple(oracle.all_chords(k))

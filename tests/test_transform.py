@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -33,7 +31,7 @@ from chordgroups.transform import (
     parse_generators,
 )
 
-from conftest import TONE_FORMULAS as ORACLES
+from conftest import TONE_FORMULAS as ORACLES, race
 from oracle import gaps
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
@@ -423,21 +421,18 @@ class TestWalk:
                 assert member is make_chord(member)
 
 
-def test_threads_sharing_the_orbit_memo_get_the_single_threaded_orbits():
+def test_threads_sharing_the_orbit_memo_get_the_single_threaded_orbits(restored_caches):
     tetrads = enumerate_chords(4)
     transform._ORBITS.clear()
     expected = [orbit(chord, [I, D, A]) for chord in tetrads]
     transform._ORBITS.clear()
-    start = threading.Barrier(4)
 
     def walk(offset):
-        start.wait()
         # each thread starts at a different tetrad, so their walks overlap
         order = tetrads[offset:] + tetrads[:offset]
         return {chord: orbit(chord, [I, D, A]) for chord in order}
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(walk, [0, 41, 82, 123]))
+    results = race(walk, [0, 41, 82, 123])
     for result in results:
         assert [result[chord] for chord in tetrads] == expected
 
