@@ -24,11 +24,12 @@ chord, builds the chord's size and probes again.  ``chord_row`` is the one
 chord validation: ``make_chord``, the operators and ``classify`` all go
 through it.  A row is ``[chord, i, d, a, composition, partition, text]``.
 ``parse_chord`` looks a chord's canonical text up in ``_CHORD_TEXTS``
-first, then in the store, and any other text's ``int()`` tones in the
-store itself, since they need no int check.  ``format_chord`` and
-``format_parts`` validate too, and so do ``chord_to_composition`` and
-``chord_to_partition``; the answers of these three are slots of the
-chord's row.
+first, then in the store; a padded or parenthesised text, or one spaced
+after its commas, is looked up there a second time by its body, and any
+other text's ``int()`` tones go to the store itself, since they need no
+int check.  ``format_chord`` and ``format_parts`` validate too, and so do
+``chord_to_composition`` and ``chord_to_partition``; the answers of these
+three are slots of the chord's row.
 
 Everything the library fills on first use is a cache: the chord store
 (``CHORD_ROWS`` and ``CHORD_SIZES``), the operator, composition,
@@ -443,7 +444,13 @@ def parse_chord(text: str) -> Chord:
 
     A chord's canonical text, the bare comma form of :func:`format_chord`,
     is one probe of ``_CHORD_TEXTS`` and one of the store: an exact ``str``
-    is looked up there first.  Any other text is parsed, and its tones are
+    is looked up there first.  On a miss, the text's body (stripped, then
+    its parentheses removed) is looked up there again with each ``", "``
+    read as ``","``: a hit leaves the body only the key's digits and commas
+    and one ASCII space after some commas, which the parse reads as the
+    same tones.  The body is not stripped again for this probe, since a
+    non-ASCII space inside the parentheses, as in ``"(\\xa00,4,7)"``, is
+    rejected by the parse.  Any other text is parsed, and its tones are
     looked up in the chord store directly, not through :func:`chord_row`:
     ``int()`` on text always returns an exact ``int``, so a store hit cannot
     be the ``(0, 4, 7.0)`` or ``(False, 4, 7)`` that ``chord_row``'s int
@@ -462,6 +469,9 @@ def parse_chord(text: str) -> Chord:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
+    chord = _CHORD_TEXTS.get(body.replace(", ", ","))  # sound: see the docstring
+    if chord is not None:
+        return (CHORD_ROWS.get(chord) or _missing_row(chord))[0]
     if not body.strip():
         raise EmptyChordError("empty chord text")
     if not body.isascii() or "_" in body or "+" in body:

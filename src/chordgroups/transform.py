@@ -19,8 +19,12 @@ is filled on first use, from ``_permute(chord, gap_permutation(op, k))``,
 with the row of the image, looked up in the same store, whose first item
 is the store's own tuple for it.  ``invert``, ``dual`` and ``augdim`` are
 one probe and one slot read.
-``apply_word`` walks the slots letter by letter, left to right (pipeline
-order, the convention used throughout the CLI).  ``_walk`` is the one
+``apply_word`` walks the slots left to right (pipeline order, the
+convention used throughout the CLI).  A ``str`` word is checked, then
+turned into slot numbers, by two ``bytes.translate`` calls over its ASCII
+bytes, with tables built from ``_LETTER_SLOT``, so no letter costs a
+Python step before the walk; an iterable of ``Operator`` maps each item to
+its slot.  ``_walk`` is the one
 breadth-first closure over a set of slots: ``orbit`` sorts its chords, and
 ``classify.family_row`` keeps them in visit order under ``i`` alone.
 
@@ -89,6 +93,9 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
 _OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
 _SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}
 _LETTER_SLOT = {letter: n for op, n in _SLOT.items() for letter in (op.value, op.value.upper())}
+# a str word's letters as ASCII bytes, and the table that turns each into its slot byte
+_LETTERS = "".join(_LETTER_SLOT).encode("ascii")
+_LETTER_SLOT_BYTES = bytes.maketrans(_LETTERS, bytes(_LETTER_SLOT.values()))
 
 
 def _slot(op: Operator) -> int:
@@ -151,15 +158,26 @@ def parse_generators(text: str) -> Word:
 def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     """Apply a word of operators left to right; the empty word is the identity.
 
+    A ``str`` word is read whole, in either case, before the chord is
+    validated: any character but i, d and a raises ValueError.
+
     >>> apply_word("dd", (0, 4, 7, 10))
     (0, 4, 7, 10)
+    >>> apply_word("ID", (0, 4, 7))
+    (0, 4, 9)
     """
-    try:
-        slots = [_LETTER_SLOT[c] for c in word] if isinstance(word, str) else map(_slot, word)
-    except KeyError:
-        raise ValueError(f"operator word may only contain i, d, a: {word!r}") from None
-    except TypeError:  # not iterable
-        raise ValueError(f"not an operator word: {word!r}") from None
+    if isinstance(word, str):
+        # a character outside ASCII becomes "?", which is no letter; the check
+        # reads the untranslated bytes, so "\x01" is not taken for an inversion
+        codes = word.encode("ascii", "replace")
+        if codes.translate(None, _LETTERS):
+            raise ValueError(f"operator word may only contain i, d, a: {word!r}")
+        slots = codes.translate(_LETTER_SLOT_BYTES)  # iterates as the slot ints 1..3
+    else:
+        try:
+            slots = map(_slot, word)
+        except TypeError:  # not iterable
+            raise ValueError(f"not an operator word: {word!r}") from None
     row = start = chord_row(chord)
     for slot in slots:
         row = row[slot] or _fill(row, slot)

@@ -32,7 +32,7 @@ from chordgroups.core import (
     parse_chord,
 )
 
-from conftest import drop_the_chord_store, race
+from conftest import drop_the_chord_store, race, restore_caches, snapshot_caches
 
 chord_strategy = st.sets(st.integers(min_value=1, max_value=11), max_size=11).map(
     lambda rest: (0, *sorted(rest))
@@ -536,16 +536,33 @@ class _Text(str):
     """A str subclass: parsed as text, but never a text memo key."""
 
 
+_CANONICAL_TEXTS = [oracle.text(chord) for k in range(1, 13) for chord in oracle.all_chords(k)]
 # texts that are rejected or not canonical, then every chord's canonical text
 _LISTED_TEXTS = [
     *["0,7,4", "0,4,12", "0,04,7", "-0,4,7", " 0,4,7", "(0,4,7)", _Text("0,4,7")],
-    *[oracle.text(chord) for k in range(1, 13) for chord in oracle.all_chords(k)],
+    *_CANONICAL_TEXTS,
 ]
 
 
 _TEXTS = st.lists(
     st.one_of(st.text(), st.text(alphabet="0123456789,()+-_ \u0664\t")), min_size=1, max_size=3
 )
+
+
+# ASCII spaces the parse reads around a tone, and two non-ASCII ones it reads
+# only outside the parentheses
+_SPACES = st.sampled_from(["", " ", "\t", "  ", "\xa0", "\u3000"])
+
+
+@st.composite
+def _spaced_text(draw):
+    """A canonical text padded, parenthesised, and spaced after some of its commas."""
+    first, *rest = draw(st.sampled_from(_CANONICAL_TEXTS)).split(",")
+    commas = st.sampled_from([",", "," + draw(_SPACES)])
+    body = first + "".join(draw(commas) + tone for tone in rest)
+    if draw(st.booleans()):
+        body = "(" + draw(_SPACES) + body + draw(_SPACES) + ")"
+    return draw(_SPACES) + body + draw(_SPACES)
 
 
 def _parse_outcome(text):
@@ -592,6 +609,40 @@ class TestValidationBoundary:
             assert chord is core.CHORD_ROWS[chord][0]
         if listed:
             assert len(core._CHORD_TEXTS) == 2048
+
+
+class TestTextMemo:
+    """``_CHORD_TEXTS`` changes no answer: parse_chord answers alike with it full or empty."""
+
+    @given(st.one_of(st.lists(_spaced_text(), min_size=1, max_size=3), _TEXTS))
+    def test_a_full_memo_answers_as_an_empty_one(self, texts):
+        snapshot = snapshot_caches()
+        try:
+            for text in _CANONICAL_TEXTS:
+                parse_chord(text)
+            with_memo = [_parse_outcome(text) for text in texts]
+            without_memo = []
+            for text in texts:
+                core._CHORD_TEXTS.clear()
+                without_memo.append(_parse_outcome(text))
+        finally:
+            restore_caches(snapshot)
+        for first, second in zip(with_memo, without_memo):
+            assert first == second
+            if type(first[0]) is int:  # a chord, not an error's class and message
+                assert first is second
+
+    @pytest.mark.usefixtures("restored_caches")
+    @pytest.mark.parametrize("text", ["(\xa00,4,7)", "(\u30000,4,7)"])
+    def test_a_non_ascii_space_inside_the_parentheses_is_rejected_with_the_text_memoised(
+        self, text
+    ):
+        parse_chord("0,4,7")
+        assert "0,4,7" in core._CHORD_TEXTS
+        with pytest.raises(InvalidChordError) as excinfo:
+            parse_chord(text)
+        assert excinfo.type is InvalidChordError
+        assert str(excinfo.value) == f"cannot parse chord text {text!r}"
 
 
 class TestChordRule:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chordgroups import transform
 from chordgroups.core import (
+    CHORD_ROWS,
     InvalidChordError,
     WrongArityError,
     chord_row,
@@ -31,7 +32,7 @@ from chordgroups.transform import (
     parse_generators,
 )
 
-from conftest import TONE_FORMULAS as ORACLES, race
+from conftest import TONE_FORMULAS as ORACLES, drop_the_chord_store, race
 from oracle import gaps
 
 I, D, A = Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM
@@ -48,6 +49,14 @@ EVERY_CHORD = [chord for k in range(1, 13) for chord in enumerate_chords(k)]
 
 def _operators_on(chord):
     return [I, D, A] if len(chord) == 4 else [I, D]
+
+
+def _word_outcome(word, chord):
+    """apply_word's chord, or its error's class and message."""
+    try:
+        return apply_word(word, chord)
+    except ValueError as error:
+        return type(error), str(error)
 
 
 def _closure_by_tones(chord, generators):
@@ -301,6 +310,30 @@ class TestWords:
         with pytest.raises(ValueError, match="may only contain") as excinfo:
             apply_word("ax", (0, 4, 7))
         assert excinfo.type is ValueError
+
+    @given(st.sampled_from(EVERY_CHORD), st.text(alphabet="idaIDA", max_size=12))
+    def test_a_string_word_walks_as_its_operator_list(self, chord, word):
+        operators = [Operator(letter.lower()) for letter in word]
+        by_letters, by_operators = _word_outcome(word, chord), _word_outcome(operators, chord)
+        assert by_letters == by_operators
+        if type(by_letters[0]) is int:  # a chord, not an error's class and message
+            assert by_letters is by_operators
+
+    # "\x01".."\x03" are the slot bytes a translated word walks, and "ı" upper-cases to "I"
+    @pytest.mark.usefixtures("restored_caches")
+    @pytest.mark.parametrize("word", ["\x01", "\x03\x02", "?", "ia?", "i\u0131"])
+    def test_a_word_with_any_other_character_is_rejected_before_any_step(self, word):
+        drop_the_chord_store()
+        make_chord((0, 4, 7, 11))  # size 4 rebuilt with every slot empty
+        rows = {chord: list(row) for chord, row in CHORD_ROWS.items()}
+        for chord in [(0, 4, 7, 11), (0, 4, 4)]:
+            with pytest.raises(ValueError) as excinfo:
+                apply_word(word, chord)
+            error = excinfo.value
+            assert type(error) is ValueError  # not (0, 4, 4)'s InvalidChordError
+            assert str(error) == f"operator word may only contain i, d, a: {word!r}"
+            assert error.__cause__ is None and error.__context__ is None
+        assert {chord: list(row) for chord, row in CHORD_ROWS.items()} == rows
 
     def test_the_first_bad_item_of_a_sequence_decides(self):
         with pytest.raises(WrongArityError, match="four-tone"):
