@@ -20,29 +20,35 @@ with the row of the image, looked up in the same store, whose first item
 is the store's own tuple for it.  ``invert``, ``dual`` and ``augdim`` are
 one probe and one slot read.
 ``apply_word`` walks the slots left to right (pipeline order, the
-convention used throughout the CLI).  A ``str`` word is checked, then
-turned into slot numbers, by two ``bytes.translate`` calls over its ASCII
-bytes, with tables built from ``_LETTER_SLOT``, so no letter costs a
-Python step before the walk; an iterable of ``Operator`` maps each item to
-its slot.  ``_walk`` is the one
+convention used throughout the CLI).  A ``str`` word becomes slot
+numbers in one ``bytes.translate`` over its ASCII bytes, through a
+256-byte table built from ``_LETTER_SLOT`` that maps each letter to its
+slot, 1..3, and every other byte to 0; a word with a 0 left is rejected,
+and no letter costs a Python step before the walk.  An iterable of
+``Operator`` maps each item to its slot.  ``_walk`` is the one
 breadth-first closure over a set of slots: ``orbit`` sorts its chords, and
 ``classify.family_row`` keeps them in visit order under ``i`` alone.
 
 ``orbit`` walks each orbit once.  The sorted members go into ``_ORBITS``
 under the key ``(frozenset of generator slots, chord)`` of every member,
 as one shared tuple, so a later call from any member with the same
-generator set is one lookup, and each call returns a new list.  The memo
-holds at most 8852 entries, about 1.6 MB by ``tracemalloc``, and only
-once every chord of every size has been asked for under every generator
-set it admits.  It serves chord-stream's repeated orbit queries: it cut
-that workload's tail latency by 57% (``BENCH_15.json``).  The
-chord is validated and the generators parsed before the lookup, and a
-walk that raises stores nothing, so every error is as without the memo.
+generator set is one lookup, and each call returns a new list.  A plain
+tuple of distinct operators, as ``parse_generators`` returns, finds its
+slot set in one probe of ``_SLOT_SETS``, which maps all 16 such tuples and
+is built at import; any other iterable is parsed item by item.  A walk
+takes the slots in ascending order.  The memo holds at most 8852 entries,
+about 1.6 MB by ``tracemalloc``, and only once every chord of every size
+has been asked for under every generator set it admits.  It serves
+chord-stream's repeated orbit queries: it cut that workload's tail
+latency by 57% (``BENCH_15.json``).  The chord is validated and the
+generators parsed before the lookup, and a walk that raises stores
+nothing, so every error is as without the memo.
 """
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cache
+from itertools import permutations
 
 from .core import CHORD_ROWS, OCTAVE, Chord, WrongArityError, _missing_row, chord_row
 
@@ -93,9 +99,17 @@ def _permute(chord: Chord, perm: tuple[int, ...]) -> Chord:
 _OPERATORS = (None, Operator.INVERSION, Operator.DUALITY, Operator.AUGDIM)
 _SLOT = {op: n for n, op in enumerate(_OPERATORS) if op is not None}
 _LETTER_SLOT = {letter: n for op, n in _SLOT.items() for letter in (op.value, op.value.upper())}
-# a str word's letters as ASCII bytes, and the table that turns each into its slot byte
-_LETTERS = "".join(_LETTER_SLOT).encode("ascii")
-_LETTER_SLOT_BYTES = bytes.maketrans(_LETTERS, bytes(_LETTER_SLOT.values()))
+# byte -> its letter's slot, 1..3, and 0 for every byte that is no letter
+# (filled in a loop: a 256-step generator costs ~30 µs more at import)
+_LETTER_SLOT_BYTES = bytearray(256)
+for _letter, _slot_number in _LETTER_SLOT.items():
+    _LETTER_SLOT_BYTES[ord(_letter)] = _slot_number
+# every tuple of distinct operators, in any order, -> its frozenset of slots
+_SLOT_SETS = {
+    generators: frozenset(map(_SLOT.__getitem__, generators))
+    for n in range(len(_SLOT) + 1)
+    for generators in permutations(_SLOT, n)
+}
 
 
 def _slot(op: Operator) -> int:
@@ -167,12 +181,11 @@ def apply_word(word: str | Iterable[Operator], chord: Chord) -> Chord:
     (0, 4, 9)
     """
     if isinstance(word, str):
-        # a character outside ASCII becomes "?", which is no letter; the check
-        # reads the untranslated bytes, so "\x01" is not taken for an inversion
-        codes = word.encode("ascii", "replace")
-        if codes.translate(None, _LETTERS):
+        # a character outside ASCII becomes "?", and every byte but a letter's
+        # translates to 0, "\x01".."\x03" too, so 0 is the one rejection mark
+        slots = word.encode("ascii", "replace").translate(_LETTER_SLOT_BYTES)
+        if 0 in slots:
             raise ValueError(f"operator word may only contain i, d, a: {word!r}")
-        slots = codes.translate(_LETTER_SLOT_BYTES)  # iterates as the slot ints 1..3
     else:
         try:
             slots = map(_slot, word)
@@ -206,20 +219,28 @@ def orbit(chord: Chord, generators: Iterable[Operator]) -> list[Chord]:
     """Closure of a chord under the generators, as a sorted list.
 
     Raises WrongArityError if AUGDIM is among the generators and the chord
-    is not four-tone.
+    is not four-tone.  The chord is validated first.  A plain tuple of
+    distinct operators is then one table probe; any other iterable is read
+    item by item, and its first item that is no operator raises ValueError.
 
     >>> orbit((0, 4, 7), [Operator.INVERSION])
     [(0, 3, 8), (0, 4, 7), (0, 5, 9)]
     """
     row = chord_row(chord)
-    try:
-        slots = [_slot(op) for op in generators]
-    except TypeError:  # not iterable; _slot turns every bad item into ValueError
-        raise ValueError(f"generators must be a sequence of operators: {generators!r}") from None
-    slot_set = frozenset(slots)
+    try:  # a tuple of distinct operators, as parse_generators returns, is one probe
+        slot_set = _SLOT_SETS[generators] if type(generators) is tuple else None
+    except (KeyError, TypeError):  # TypeError: an unhashable item, which the parse reports
+        slot_set = None
+    if slot_set is None:
+        try:
+            slot_set = frozenset([_slot(op) for op in generators])
+        except TypeError:  # not iterable; _slot turns every bad item into ValueError
+            raise ValueError(
+                f"generators must be a sequence of operators: {generators!r}"
+            ) from None
     found = _ORBITS.get((slot_set, row[0]))
     if found is None:
-        members = tuple(sorted(_walk(row, slots)))
+        members = tuple(sorted(_walk(row, sorted(slot_set))))
         for member in members:  # stored only once the walk is complete
             _ORBITS[slot_set, member] = members
         found = _ORBITS[slot_set, row[0]]

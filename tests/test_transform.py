@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -51,12 +51,16 @@ def _operators_on(chord):
     return [I, D, A] if len(chord) == 4 else [I, D]
 
 
-def _word_outcome(word, chord):
-    """apply_word's chord, or its error's class and message."""
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or its ValueError's class and message."""
     try:
-        return apply_word(word, chord)
+        return function(*args)
     except ValueError as error:
         return type(error), str(error)
+
+
+def _word_error(word):
+    return f"operator word may only contain i, d, a: {word!r}"
 
 
 def _closure_by_tones(chord, generators):
@@ -314,14 +318,16 @@ class TestWords:
     @given(st.sampled_from(EVERY_CHORD), st.text(alphabet="idaIDA", max_size=12))
     def test_a_string_word_walks_as_its_operator_list(self, chord, word):
         operators = [Operator(letter.lower()) for letter in word]
-        by_letters, by_operators = _word_outcome(word, chord), _word_outcome(operators, chord)
+        by_letters = _outcome(apply_word, word, chord)
+        by_operators = _outcome(apply_word, operators, chord)
         assert by_letters == by_operators
         if type(by_letters[0]) is int:  # a chord, not an error's class and message
             assert by_letters is by_operators
 
-    # "\x01".."\x03" are the slot bytes a translated word walks, and "ı" upper-cases to "I"
+    # "\x00" is the mark every byte but a letter's translates to, "\x01".."\x03"
+    # are the slot bytes a letter translates to, and "ı" upper-cases to "I"
     @pytest.mark.usefixtures("restored_caches")
-    @pytest.mark.parametrize("word", ["\x01", "\x03\x02", "?", "ia?", "i\u0131"])
+    @pytest.mark.parametrize("word", ["\x00", "\x01", "\x03\x02", "?", "ia?", "i\u0131"])
     def test_a_word_with_any_other_character_is_rejected_before_any_step(self, word):
         drop_the_chord_store()
         make_chord((0, 4, 7, 11))  # size 4 rebuilt with every slot empty
@@ -331,9 +337,32 @@ class TestWords:
                 apply_word(word, chord)
             error = excinfo.value
             assert type(error) is ValueError  # not (0, 4, 4)'s InvalidChordError
-            assert str(error) == f"operator word may only contain i, d, a: {word!r}"
+            assert str(error) == _word_error(word)
             assert error.__cause__ is None and error.__context__ is None
         assert {chord: list(row) for chord, row in CHORD_ROWS.items()} == rows
+
+    # every byte a str word can encode to, and three letters' look-alikes
+    # outside ASCII: a dotless i, a dotted capital I and a full-width a
+    ONE_CHARACTER_WORDS = [chr(n) for n in range(256)] + ["\u0131", "\u0130", "\uff41"]
+
+    def test_the_six_letters_are_the_only_one_character_words(self):
+        tetrad = (0, 4, 7, 11)
+        accepted = {}
+        for word in self.ONE_CHARACTER_WORDS:
+            if word in "idaIDA":
+                accepted[word] = apply_word(word, tetrad)
+                continue
+            # (0, 4, 4) is no chord: the word is rejected before it is validated
+            for chord in [tetrad, (0, 4, 4)]:
+                with pytest.raises(ValueError) as excinfo:
+                    apply_word(word, chord)
+                error = excinfo.value
+                assert type(error) is ValueError
+                assert str(error) == _word_error(word)
+                assert error.__context__ is None
+        assert sorted(accepted) == sorted("idaIDA")
+        for word, image in accepted.items():
+            assert image == ORACLES[Operator(word.lower())](tetrad)
 
     def test_the_first_bad_item_of_a_sequence_decides(self):
         with pytest.raises(WrongArityError, match="four-tone"):
@@ -434,6 +463,83 @@ class TestOrbits:
             members = orbit(chord, generators)
             for member in members:
                 assert orbit(member, generators[::-1]) == members
+
+
+class TestGeneratorTuples:
+    # orbit looks a plain tuple of distinct operators up in _SLOT_SETS; every
+    # other iterable is parsed item by item, as a list is.
+
+    def test_every_tuple_of_distinct_operators_is_a_key(self):
+        keys = [key for n in range(4) for key in permutations((I, D, A), n)]
+        assert list(transform._SLOT_SETS) == keys and len(keys) == 16
+        for key in keys:
+            assert transform._SLOT_SETS[key] == frozenset(transform._slot(op) for op in key)
+
+    def test_parse_generators_returns_a_key(self):
+        for n in range(5):
+            for letters in product("idaIDA", repeat=n):
+                assert parse_generators(",".join(letters)) in transform._SLOT_SETS
+
+    @pytest.mark.usefixtures("restored_caches")
+    @pytest.mark.parametrize(
+        "key", transform._SLOT_SETS, ids=lambda key: "".join(op.value for op in key) or "()"
+    )
+    def test_each_key_gives_its_lists_orbit_and_the_tone_formula_orbit(self, key):
+        # from an empty memo, so the key's own walk fills it; a key with a
+        # raises on every size but four tones, and stores nothing
+        transform._ORBITS.clear()
+        tetrads = [chord for chord in CHORDS if len(chord) == 4]
+        others = [chord for chord in CHORDS if len(chord) != 4]
+        if A in key:
+            for chord in others:
+                for generators in (key, list(key)):
+                    with pytest.raises(WrongArityError) as excinfo:
+                        orbit(chord, generators)
+                    assert str(excinfo.value) == (
+                        "augmented-diminished duality needs a four-tone chord, "
+                        f"got {len(chord)} tones"
+                    )
+            assert transform._ORBITS == {}
+        for chord in tetrads if A in key else CHORDS:
+            expected = _closure_by_tones(chord, key)
+            assert orbit(chord, key) == expected
+            assert orbit(chord, list(key)) == expected
+
+    class Generators(tuple):
+        pass
+
+    # tuples that miss the table or are no plain tuple, and the empty key,
+    # each with its outcome on a tetrad
+    TUPLES = {
+        "(I, I)": ((I, I), _closure_by_tones((0, 4, 7, 11), [I])),
+        "(I, 'x')": ((I, "x"), (ValueError, "not an operator: 'x'")),
+        "(I, [])": ((I, []), (ValueError, "not an operator: []")),
+        "('i',)": (("i",), (ValueError, "not an operator: 'i'")),
+        "('x',)": (("x",), (ValueError, "not an operator: 'x'")),
+        "subclass": (Generators((I, D)), _closure_by_tones((0, 4, 7, 11), [I, D])),
+        "()": ((), [(0, 4, 7, 11)]),
+    }
+
+    @pytest.mark.parametrize("name", TUPLES)
+    def test_a_tuple_acts_as_its_list(self, name):
+        generators, expected = self.TUPLES[name]
+        for chord in [(0, 4, 7, 11), (0, 3, 8)]:
+            assert _outcome(orbit, chord, generators) == _outcome(orbit, chord, list(generators))
+        assert _outcome(orbit, (0, 4, 7, 11), generators) == expected
+        with pytest.raises(InvalidChordError):  # the chord is validated first
+            orbit((0, 4, 4), generators)
+
+    def test_a_key_never_parses_its_items_and_anything_else_does(self, monkeypatch):
+        def parsed(op):
+            raise AssertionError(f"parsed {op!r}")
+
+        monkeypatch.setattr(transform, "_slot", parsed)
+        tetrad = (0, 4, 7, 11)
+        for key in transform._SLOT_SETS:
+            orbit(tetrad, key)
+        for generators in [[I], (I, I), self.Generators((I,)), iter((I,))]:
+            with pytest.raises(AssertionError, match="parsed"):
+                orbit(tetrad, generators)
 
 
 class TestWalk:
